@@ -1,7 +1,8 @@
 package repro.core
 
-/** Minimal growable primitive buffers — both index builders store labels in
-  * parallel primitive arrays so the HP-SPC baseline and PSPC pay identical
+/** Minimal growable primitive buffers. Both index builders keep labels in
+  * parallel primitive arrays and hand them to `LabelIndex.fromArrays`, the
+  * one rank sort, so the HP-SPC baseline and PSPC pay identical
   * data-structure constants (fair Exp 1 comparison).
   */
 final class IntBuf(initial: Int = 4) extends Serializable {
@@ -26,25 +27,4 @@ final class LongBuf(initial: Int = 4) extends Serializable {
   @inline def apply(i: Int): Long = a(i)
   def toArray: Array[Long] = java.util.Arrays.copyOf(a, len)
   def clear(): Unit = len = 0
-}
-
-/** Per-vertex growable label store `(hub, dist, cnt)`. */
-final class LabelStore(val n: Int) extends Serializable {
-  val hubs: Array[IntBuf] = Array.fill(n)(new IntBuf)
-  val dists: Array[IntBuf] = Array.fill(n)(new IntBuf)
-  val cnts: Array[LongBuf] = Array.fill(n)(new LongBuf)
-
-  @inline def add(v: Int, hub: Int, dist: Int, cnt: Long): Unit = {
-    hubs(v) += hub; dists(v) += dist; cnts(v) += cnt
-  }
-
-  def size(v: Int): Int = hubs(v).len
-
-  def toIndex(order: Array[Int]): LabelIndex = {
-    val entries: Array[scala.collection.Seq[(Int, Int, Long)]] =
-      Array.tabulate(n) { v =>
-        (0 until hubs(v).len).map(i => (hubs(v)(i), dists(v)(i), cnts(v)(i)))
-      }
-    LabelIndex.fromEntries(order, entries)
-  }
 }

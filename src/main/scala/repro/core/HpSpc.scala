@@ -19,16 +19,14 @@ object HpSpc {
 
   /** Build the ESPC index under a fixed total order. */
   def build(g: Graph, order: Array[Int]): LabelIndex = {
-    val store = new LabelStore(g.n)
-    val processed = new Array[Boolean](g.n)
-    val scratch = new Scratch(g.n)
+    val s = new State(g.n)
     var r = 0
     while (r < order.length) {
-      prunedBfs(g, order(r), store, processed, scratch, wantTree = false)
-      processed(order(r)) = true
+      prunedBfs(g, order(r), s, wantTree = false)
+      s.processed(order(r)) = true
       r += 1
     }
-    store.toIndex(order)
+    s.toIndex(order)
   }
 
   /** Build with the significant-path-based dynamic order of [17]: the next
@@ -36,26 +34,31 @@ object HpSpc {
     * pruned BFS (paper §III-G). Returns the index and the order produced.
     */
   def buildWithSignificantPathOrder(g: Graph): (LabelIndex, Array[Int]) = {
-    val store = new LabelStore(g.n)
-    val processed = new Array[Boolean](g.n)
-    val scratch = new Scratch(g.n)
+    val s = new State(g.n)
     val order = new Array[Int](g.n)
     // w1 = highest-degree vertex
     var h = (0 until g.n).maxBy(v => (g.deg(v), -v))
     var r = 0
     while (r < g.n) {
       order(r) = h
-      prunedBfs(g, h, store, processed, scratch, wantTree = true)
-      processed(h) = true
+      prunedBfs(g, h, s, wantTree = true)
+      s.processed(h) = true
       r += 1
       if (r < g.n)
-        h = VertexOrder.nextSignificantHub(g, h, scratch.parent, scratch.des, processed)
+        h = VertexOrder.nextSignificantHub(g, h, s.parent, s.des, s.processed)
     }
-    (store.toIndex(order), order)
+    (s.toIndex(order), order)
   }
 
-  /** Reusable per-BFS working arrays (avoids O(n) allocation per hub). */
-  final class Scratch(n: Int) {
+  /** One build's state: the labels `(hub, dist, cnt)` grown so far per
+    * vertex, the processed hubs, and reusable per-BFS working arrays
+    * (avoids O(n) allocation per hub).
+    */
+  final class State(n: Int) {
+    val hubs: Array[IntBuf] = Array.fill(n)(new IntBuf)
+    val dists: Array[IntBuf] = Array.fill(n)(new IntBuf)
+    val cnts: Array[LongBuf] = Array.fill(n)(new LongBuf)
+    val processed: Array[Boolean] = new Array[Boolean](n)
     val dist: Array[Int] = Array.fill(n)(-1)
     val cnt: Array[Long] = new Array[Long](n)
     val parent: Array[Int] = Array.fill(n)(-1)
@@ -63,21 +66,20 @@ object HpSpc {
     val pruned: Array[Boolean] = new Array[Boolean](n)
     val queue: Array[Int] = new Array[Int](n)
     val tmpDist: Array[Int] = Array.fill(n)(-1) // hub -> dist(h, hub), for O(|L(u)|) queries
+
+    def addLabel(v: Int, hub: Int, dist: Int, cnt: Long): Unit = {
+      hubs(v) += hub; dists(v) += dist; cnts(v) += cnt
+    }
+
+    def toIndex(order: Array[Int]): LabelIndex =
+      LabelIndex.fromArrays(order, hubs.map(_.toArray), dists.map(_.toArray), cnts.map(_.toArray))
   }
 
   /** One pruned BFS sourced at `h`; appends this iteration's labels to
-    * `store`. When `wantTree`, also records the BFS tree parents and
-    * subtree descendant counts in `scratch` (for the significant-path
-    * order).
+    * `s`. When `wantTree`, also records the BFS tree parents and subtree
+    * descendant counts in `s` (for the significant-path order).
     */
-  private def prunedBfs(
-      g: Graph,
-      h: Int,
-      store: LabelStore,
-      processed: Array[Boolean],
-      s: Scratch,
-      wantTree: Boolean,
-  ): Unit = {
+  private def prunedBfs(g: Graph, h: Int, s: State, wantTree: Boolean): Unit = {
     import s._
     if (wantTree) {
       // the significant-path order reads parent/des for exactly this BFS:
@@ -86,7 +88,7 @@ object HpSpc {
       java.util.Arrays.fill(des, 0)
     }
     // load L(h) into the hub->dist table for constant-time query terms
-    val lh = store.hubs(h); val ld = store.dists(h)
+    val lh = hubs(h); val ld = dists(h)
     var i = 0
     while (i < lh.len) { tmpDist(lh(i)) = ld(i); i += 1 }
     tmpDist(h) = 0
@@ -95,7 +97,7 @@ object HpSpc {
     var touched = 0
     dist(h) = 0; cnt(h) = 1L; parent(h) = -1; pruned(h) = false
     queue(tail) = h; tail += 1
-    store.add(h, h, 0, 1L)
+    addLabel(h, h, 0, 1L)
     var levelEnd = tail
     var d = 1
     while (head < tail) {
@@ -124,7 +126,7 @@ object HpSpc {
       while (k < tail) {
         val u = queue(k)
         // Query(h, u, L_<i): min over common hubs via the tmpDist table
-        val hu = store.hubs(u); val du = store.dists(u)
+        val hu = hubs(u); val du = dists(u)
         var q = Int.MaxValue
         var j = 0
         while (j < hu.len) {
@@ -133,7 +135,7 @@ object HpSpc {
           j += 1
         }
         if (q < d) pruned(u) = true
-        else store.add(u, h, d, cnt(u))
+        else addLabel(u, h, d, cnt(u))
         k += 1
       }
       levelEnd = tail

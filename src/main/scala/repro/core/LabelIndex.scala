@@ -92,26 +92,67 @@ final class LabelIndex(
 
 object LabelIndex {
 
-  /** Assemble an index from per-vertex unsorted entry lists, sorting each
-    * by hub rank.
+  /** Assemble an index from per-vertex label arrays in any entry order.
+    * Sorts each vertex's `hubs` / `dists` / `cnts` together by hub rank, in
+    * place, and throws if a label list holds the same hub twice. This is
+    * the one place labels become rank-sorted lists; every builder ends here.
     */
-  def fromEntries(
+  def fromArrays(
       order: Array[Int],
-      entries: Array[scala.collection.Seq[(Int, Int, Long)]],
+      hubs: Array[Array[Int]],
+      dists: Array[Array[Int]],
+      cnts: Array[Array[Long]],
   ): LabelIndex = {
     val rank = VertexOrder.rankOf(order)
-    val n = entries.length
-    val hubs = new Array[Array[Int]](n)
-    val dists = new Array[Array[Int]](n)
-    val cnts = new Array[Array[Long]](n)
+    // key = rank(hub) << 32 | position: one primitive sort orders a list by
+    // rank and says where each entry came from
+    var keys = new Array[Long](16)
+    var tmpInt = new Array[Int](16)
+    var tmpLong = new Array[Long](16)
     var v = 0
-    while (v < n) {
-      val sorted = entries(v).sortBy(e => rank(e._1))
-      hubs(v) = sorted.map(_._1).toArray
-      dists(v) = sorted.map(_._2).toArray
-      cnts(v) = sorted.map(_._3).toArray
+    while (v < hubs.length) {
+      val h = hubs(v); val d = dists(v); val c = cnts(v)
+      val len = h.length
+      if (keys.length < len) {
+        keys = new Array[Long](len); tmpInt = new Array[Int](len); tmpLong = new Array[Long](len)
+      }
+      var i = 0
+      while (i < len) { keys(i) = (rank(h(i)).toLong << 32) | i; i += 1 }
+      java.util.Arrays.sort(keys, 0, len)
+      i = 1
+      while (i < len) {
+        if (keys(i) >>> 32 == keys(i - 1) >>> 32)
+          throw new IllegalArgumentException(s"label list of vertex $v holds hub ${h(keys(i).toInt)} twice")
+        i += 1
+      }
+      System.arraycopy(h, 0, tmpInt, 0, len)
+      i = 0
+      while (i < len) { h(i) = tmpInt(keys(i).toInt); i += 1 }
+      System.arraycopy(d, 0, tmpInt, 0, len)
+      i = 0
+      while (i < len) { d(i) = tmpInt(keys(i).toInt); i += 1 }
+      System.arraycopy(c, 0, tmpLong, 0, len)
+      i = 0
+      while (i < len) { c(i) = tmpLong(keys(i).toInt); i += 1 }
       v += 1
     }
     new LabelIndex(order, hubs, dists, cnts)
+  }
+
+  /** Assemble an index of `n` vertices from `(v, hub, dist, cnt)` rows in
+    * any order — the shape the Spark builders collect.
+    */
+  def fromRows(order: Array[Int], n: Int, rows: Iterable[(Int, Int, Int, Long)]): LabelIndex = {
+    val len = new Array[Int](n)
+    rows.foreach(r => len(r._1) += 1)
+    val hubs = Array.tabulate(n)(v => new Array[Int](len(v)))
+    val dists = Array.tabulate(n)(v => new Array[Int](len(v)))
+    val cnts = Array.tabulate(n)(v => new Array[Long](len(v)))
+    java.util.Arrays.fill(len, 0)
+    rows.foreach { case (v, h, d, c) =>
+      hubs(v)(len(v)) = h; dists(v)(len(v)) = d; cnts(v)(len(v)) = c
+      len(v) += 1
+    }
+    fromArrays(order, hubs, dists, cnts)
   }
 }

@@ -1,7 +1,5 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicInteger
-import java.util.concurrent.{Callable, Executors}
 import repro.graph.Graph
 import repro.order.VertexOrder
 import scala.collection.mutable
@@ -89,48 +87,6 @@ object Pspc {
       v += 1
     }
 
-    // daemon threads: an exception escaping a round must not pin the JVM
-    val pool =
-      if (threads > 1)
-        Executors.newFixedThreadPool(
-          threads,
-          (r: Runnable) => { val t = new Thread(r); t.setDaemon(true); t },
-        )
-      else null
-
-    /** Run `task(threadId, from, until)` over `[0, total)` according to the
-      * schedule: static = contiguous equal chunks, dynamic = atomic grab of
-      * small chunks (tasks pre-sorted by cost by the caller).
-      */
-    def parallelFor(total: Int)(task: (Int, Int, Int) => Unit): Unit = {
-      if (threads <= 1 || total == 0) { task(0, 0, total); return }
-      schedule match {
-        case StaticSchedule =>
-          val per = (total + threads - 1) / threads
-          val futures = (0 until threads).map { t =>
-            val from = math.min(t * per, total)
-            val until = math.min(from + per, total)
-            pool.submit(new Callable[Unit] { def call(): Unit = task(t, from, until) })
-          }
-          futures.foreach(_.get())
-        case DynamicSchedule =>
-          val chunk = math.max(16, total / (threads * 16))
-          val next = new AtomicInteger(0)
-          val futures = (0 until threads).map { t =>
-            pool.submit(new Callable[Unit] {
-              def call(): Unit = {
-                var from = next.getAndAdd(chunk)
-                while (from < total) {
-                  task(t, from, math.min(from + chunk, total))
-                  from = next.getAndAdd(chunk)
-                }
-              }
-            })
-          }
-          futures.foreach(_.get())
-      }
-    }
-
     // Per-thread scratch: dense hub->dist table of L(u) and candidate
     // accumulators, reset via touch lists.
     final class Scratch {
@@ -149,7 +105,18 @@ object Pspc {
     // task order for this round; cost-sorted when dynamic
     val taskOrder = new Array[Int](n)
 
-    while (totalNew > 0) {
+    val workers = new Workers(threads)
+
+    /** Run `task(threadId, from, until)` over `[0, total)` according to the
+      * schedule: static = contiguous equal chunks, dynamic = atomic grab of
+      * small chunks (tasks pre-sorted by cost by the caller).
+      */
+    def parallelFor(total: Int)(task: (Int, Int, Int) => Unit): Unit = schedule match {
+      case StaticSchedule  => workers.static(total)(task)
+      case DynamicSchedule => workers.dynamic(total, math.max(16, total / (math.max(1, threads) * 16)))(task)
+    }
+
+    try while (totalNew > 0) {
       totalNew = 0L
       // --- plan the schedule -------------------------------------------
       if (schedule == DynamicSchedule && threads > 1) {
@@ -212,6 +179,7 @@ object Pspc {
       if (totalNew > 0) rounds += 1
       d += 1
     }
+    finally workers.close()
 
     /** Pull-based candidate processing for one vertex (phase A). */
     def pullVertex(u: Int, d: Int, s: Scratch): Unit = {
@@ -339,12 +307,9 @@ object Pspc {
       }
     }
 
-    if (pool != null) pool.shutdown()
     val lcMs = (System.nanoTime() - lcStart) / 1e6
 
-    val entries: Array[scala.collection.Seq[(Int, Int, Long)]] =
-      Array.tabulate(n)(u => hubs(u).indices.map(i => (hubs(u)(i), dists(u)(i), cnts(u)(i))))
-    val idx = LabelIndex.fromEntries(order, entries)
+    val idx = LabelIndex.fromArrays(order, hubs, dists, cnts)
     (idx, BuildStats(orderMs, llMs, lcMs, rounds, idx.entryCount))
   }
 }

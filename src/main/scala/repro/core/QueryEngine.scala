@@ -1,6 +1,5 @@
 package repro.core
 
-import java.util.concurrent.{Callable, Executors}
 import repro.graph.Graph
 
 /** SPC query evaluation over a label index (paper §IV "Query Evaluation in
@@ -10,14 +9,9 @@ import repro.graph.Graph
   */
 object QueryEngine {
 
-  /** Evaluate one query. `weight` only matters on equivalence-reduced
-    * graphs (hub multiplicity).
-    */
-  def query(idx: LabelIndex, s: Int, t: Int, weight: Array[Long] = null): (Int, Long) =
-    idx.query(s, t, weight)
-
   /** Evaluate a batch with `threads` workers; returns `(dist, cnt)` per
-    * query, aligned with the input.
+    * query, aligned with the input. `weight` only matters on
+    * equivalence-reduced graphs (hub multiplicity).
     */
   def batch(
       idx: LabelIndex,
@@ -26,41 +20,18 @@ object QueryEngine {
       weight: Array[Long] = null,
   ): Array[(Int, Long)] = {
     val out = new Array[(Int, Long)](queries.length)
-    if (threads <= 1) {
-      var i = 0
-      while (i < queries.length) {
-        out(i) = idx.query(queries(i)._1, queries(i)._2, weight)
-        i += 1
+    val workers = new Workers(threads)
+    try
+      workers.dynamic(queries.length, math.max(64, queries.length / (math.max(1, threads) * 8))) {
+        (_, from, until) =>
+          var i = from
+          while (i < until) {
+            out(i) = idx.query(queries(i)._1, queries(i)._2, weight)
+            i += 1
+          }
       }
-      out
-    } else {
-      val pool = Executors.newFixedThreadPool(
-        threads,
-        (r: Runnable) => { val t = new Thread(r); t.setDaemon(true); t },
-      )
-      try {
-        val next = new java.util.concurrent.atomic.AtomicInteger(0)
-        val chunk = math.max(64, queries.length / (threads * 8))
-        val futures = (0 until threads).map { _ =>
-          pool.submit(new Callable[Unit] {
-            def call(): Unit = {
-              var from = next.getAndAdd(chunk)
-              while (from < queries.length) {
-                val until = math.min(from + chunk, queries.length)
-                var i = from
-                while (i < until) {
-                  out(i) = idx.query(queries(i)._1, queries(i)._2, weight)
-                  i += 1
-                }
-                from = next.getAndAdd(chunk)
-              }
-            }
-          })
-        }
-        futures.foreach(_.get())
-      } finally pool.shutdown()
-      out
-    }
+    finally workers.close()
+    out
   }
 
   /** Deterministic random query workload over the vertices of `g`. */

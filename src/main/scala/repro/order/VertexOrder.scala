@@ -11,11 +11,22 @@ import scala.collection.mutable
   */
 object VertexOrder {
 
-  /** `rankOf(order)(v)` = rank of vertex `v` under `order`. */
+  /** `rankOf(order)(v)` = rank of vertex `v` under `order`. Throws
+    * `IllegalArgumentException` naming the first bad slot unless `order` is
+    * a permutation of `0 until order.length`.
+    */
   def rankOf(order: Array[Int]): Array[Int] = {
-    val r = new Array[Int](order.length)
+    val n = order.length
+    val r = Array.fill(n)(-1)
     var i = 0
-    while (i < order.length) { r(order(i)) = i; i += 1 }
+    while (i < n) {
+      val v = order(i)
+      if (v < 0 || v >= n || r(v) >= 0)
+        throw new IllegalArgumentException(
+          s"order is not a permutation of 0 until $n: slot $i holds $v")
+      r(v) = i
+      i += 1
+    }
     r
   }
 

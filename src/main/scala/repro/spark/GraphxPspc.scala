@@ -116,10 +116,6 @@ object GraphxPspc {
   }
 
   /** Build and collect into an in-memory [[LabelIndex]]. */
-  def build(spark: SparkSession, g: Graph, order: Array[Int]): LabelIndex = {
-    val rows = buildLabels(spark, g, order).collect()
-    val entries = Array.fill(g.n)(scala.collection.mutable.ArrayBuffer.empty[(Int, Int, Long)])
-    rows.foreach { case (v, h, d, c) => entries(v) += ((h, d, c)) }
-    LabelIndex.fromEntries(order, entries.map(_.toSeq))
-  }
+  def build(spark: SparkSession, g: Graph, order: Array[Int]): LabelIndex =
+    LabelIndex.fromRows(order, g.n, buildLabels(spark, g, order).collect())
 }

@@ -102,9 +102,7 @@ object SparkPspc {
     * for equality tests against the threaded builder.
     */
   def build(spark: SparkSession, g: Graph, order: Array[Int]): LabelIndex = {
-    val rows = buildLabels(spark, g, order).collect()
-    val entries = Array.fill(g.n)(scala.collection.mutable.ArrayBuffer.empty[(Int, Int, Long)])
-    rows.foreach(r => entries(r.getInt(0)) += ((r.getInt(1), r.getInt(2), r.getLong(3))))
-    LabelIndex.fromEntries(order, entries.map(_.toSeq))
+    import spark.implicits._
+    LabelIndex.fromRows(order, g.n, buildLabels(spark, g, order).as[(Int, Int, Int, Long)].collect())
   }
 }

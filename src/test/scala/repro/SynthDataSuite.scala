@@ -2,9 +2,9 @@ package repro
 
 import repro.graph.{Graph, GraphGen}
 
-/** Tests for the graph-schema extension of SynthData (DESIGN.md §5): the
-  * paper evaluates on graphs, so the synthetic generators expose edge
-  * DataFrames in the shape the Spark builders and the DuckDB oracle eat.
+/** Tests for SynthData (DESIGN.md §5): the paper evaluates on graphs, so
+  * the synthetic generators expose edge DataFrames in the shape the Spark
+  * builders and the DuckDB oracle eat.
   */
 class SynthDataSuite extends SparkSpec {
 
@@ -45,10 +45,5 @@ class SynthDataSuite extends SparkSpec {
     val g = Graph.fromDataFrame(df)
     val direct = GraphGen.roadGrid(8, 8, drop = 0.1, seed = 5)
     assert(g.n == direct.n && g.edges.toSeq == direct.edges.toSeq)
-  }
-
-  test("TPC-H-lite generators still work alongside the graph schema") {
-    assert(SynthData.lineitem(spark, sf = 0.001).count() > 0)
-    assert(SynthData.zipfKeys(spark, 1000, 50).count() == 1000)
   }
 }

@@ -6,18 +6,41 @@ import repro.graph.Graph
 
 class LabelIndexSuite extends AnyFunSuite {
 
+  /** Index over per-vertex `(hub, dist, cnt)` lists, via `fromRows`. */
+  private def indexOf(order: Array[Int])(lists: Seq[(Int, Int, Long)]*): LabelIndex =
+    LabelIndex.fromRows(order, lists.length,
+      for ((es, v) <- lists.zipWithIndex; (h, d, c) <- es) yield (v, h, d, c))
+
+  /** Table II, its rows handed over in a scrambled order. */
   private def tableIIIndex: LabelIndex = {
-    val entries: Array[scala.collection.Seq[(Int, Int, Long)]] =
-      Array.tabulate(10)(v => TestUtil.tableII(v).toSeq)
-    LabelIndex.fromEntries(Graph.paperExampleOrder, entries)
+    val rows = for (v <- 0 until 10; (h, d, c) <- TestUtil.tableII(v).toSeq) yield (v, h, d, c)
+    LabelIndex.fromRows(Graph.paperExampleOrder, 10, new scala.util.Random(1).shuffle(rows))
   }
 
-  test("fromEntries sorts each label list by hub rank") {
-    val idx = tableIIIndex
+  test("fromArrays sorts each label list by hub rank") {
+    // dists and counts encode their hub, so one left behind by the sort shows
+    val order = Array(3, 1, 4, 0, 2)
+    val scrambled = Array(2, 0, 4, 1, 3)
+    val idx = LabelIndex.fromArrays(order,
+      Array.tabulate(5)(v => if (v == 0) scrambled.clone else Array(v)),
+      Array.tabulate(5)(v => if (v == 0) scrambled.map(10 + _) else Array(0)),
+      Array.tabulate(5)(v => if (v == 0) scrambled.map(100L * _) else Array(1L)))
+    assert(idx.hubs(0).toSeq == order.toSeq)
+    assert(idx.dists(0).toSeq == order.toSeq.map(10 + _))
+    assert(idx.cnts(0).toSeq == order.toSeq.map(100L * _))
+
+    val t = tableIIIndex
     for (v <- 0 until 10) {
-      val ranks = idx.hubs(v).map(idx.rank)
+      val ranks = t.hubs(v).map(t.rank)
       assert(ranks.toSeq == ranks.sorted.toSeq, s"vertex $v")
+      assert(t.labelOf(v).toSet == TestUtil.tableII(v), s"vertex $v")
     }
+  }
+
+  test("a label list holding the same hub twice is rejected") {
+    val e = intercept[IllegalArgumentException](
+      indexOf(Array(0, 1))(Seq((0, 0, 1L), (1, 1, 1L), (0, 2, 1L)), Seq((1, 0, 1L))))
+    assert(e.getMessage.contains("vertex 0 holds hub 0 twice"))
   }
 
   test("query reproduces the paper's Example 1: SPC(v10, v7) = 4 at distance 3") {
@@ -37,46 +60,41 @@ class LabelIndexSuite extends AnyFunSuite {
 
   test("query with no common hub returns (-1, 0)") {
     val order = Array(0, 1)
-    val entries: Array[scala.collection.Seq[(Int, Int, Long)]] =
-      Array(Seq((0, 0, 1L)), Seq((1, 0, 1L)))
-    val idx = LabelIndex.fromEntries(order, entries)
+    val idx = indexOf(order)(Seq((0, 0, 1L)), Seq((1, 0, 1L)))
     assert(idx.query(0, 1) == ((-1, 0L)))
   }
 
   test("query sums counts over all hubs at the minimal distance") {
     // two common hubs at the same total distance: counts add up
     val order = Array(0, 1, 2, 3)
-    val entries: Array[scala.collection.Seq[(Int, Int, Long)]] = Array(
+    val idx = indexOf(order)(
       Seq((0, 1, 2L), (1, 1, 3L), (2, 0, 1L)),
       Seq((0, 1, 5L), (1, 1, 7L), (3, 0, 1L)),
       Seq((2, 0, 1L)),
       Seq((3, 0, 1L)),
     )
-    val idx = LabelIndex.fromEntries(order, entries)
     assert(idx.query(0, 1) == ((2, 2L * 5 + 3L * 7)))
   }
 
   test("query ignores hubs at non-minimal distance") {
     val order = Array(0, 1, 2, 3)
-    val entries: Array[scala.collection.Seq[(Int, Int, Long)]] = Array(
+    val idx = indexOf(order)(
       Seq((0, 1, 2L), (1, 3, 100L), (2, 0, 1L)),
       Seq((0, 2, 5L), (1, 1, 100L), (3, 0, 1L)),
       Seq((2, 0, 1L)),
       Seq((3, 0, 1L)),
     )
-    val idx = LabelIndex.fromEntries(order, entries)
     assert(idx.query(0, 1) == ((3, 10L)))
   }
 
   test("hub weight multiplies only when the hub is interior") {
     val order = Array(0, 1, 2)
     val w = Array(1L, 4L, 1L)
-    val entries: Array[scala.collection.Seq[(Int, Int, Long)]] = Array(
-      Seq((0, 0, 1L), (1, 1, 1L)).map(e => (e._1, e._2, e._3)),
+    val idx = indexOf(order)(
+      Seq((0, 0, 1L), (1, 1, 1L)),
       Seq((1, 0, 1L)),
       Seq((1, 1, 1L), (2, 0, 1L)),
     )
-    val idx = LabelIndex.fromEntries(order, entries)
     // hub 1 interior between 0 and 2: weight applies
     assert(idx.query(0, 2, w) == ((2, 4L)))
     // hub 1 is an endpoint of (0,1): weight must not apply
@@ -93,10 +111,8 @@ class LabelIndexSuite extends AnyFunSuite {
 
   test("canonical form is order-insensitive for entry insertion") {
     val order = Array(0, 1)
-    val a = LabelIndex.fromEntries(order,
-      Array[scala.collection.Seq[(Int, Int, Long)]](Seq((0, 0, 1L), (1, 1, 1L)), Seq((1, 0, 1L))))
-    val b = LabelIndex.fromEntries(order,
-      Array[scala.collection.Seq[(Int, Int, Long)]](Seq((1, 1, 1L), (0, 0, 1L)), Seq((1, 0, 1L))))
+    val a = indexOf(order)(Seq((0, 0, 1L), (1, 1, 1L)), Seq((1, 0, 1L)))
+    val b = indexOf(order)(Seq((1, 1, 1L), (0, 0, 1L)), Seq((1, 0, 1L)))
     TestUtil.assertSameLabels(a, b)
   }
 }

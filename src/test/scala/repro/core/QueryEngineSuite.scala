@@ -9,11 +9,6 @@ class QueryEngineSuite extends AnyFunSuite {
   private lazy val g = TestUtil.randomPowerLaw(7)
   private lazy val idx = Pspc.build(g, VertexOrder.degreeOrder(g))._1
 
-  test("single query delegates to the index") {
-    for (s <- 0 until math.min(10, g.n); t <- 0 until math.min(10, g.n))
-      assert(QueryEngine.query(idx, s, t) == idx.query(s, t))
-  }
-
   test("batch with one thread matches per-query evaluation") {
     val qs = QueryEngine.randomQueries(g, 500, seed = 1)
     val out = QueryEngine.batch(idx, qs, threads = 1)

@@ -13,6 +13,15 @@ class VertexOrderSuite extends AnyFunSuite {
     for (r <- order.indices) assert(rank(order(r)) == r)
   }
 
+  test("rankOf rejects an order that is not a permutation") {
+    val dup = intercept[IllegalArgumentException](VertexOrder.rankOf(Array(3, 1, 3, 0)))
+    assert(dup.getMessage.contains("slot 2 holds 3"))
+    val out = intercept[IllegalArgumentException](VertexOrder.rankOf(Array(0, 4, 1, 2)))
+    assert(out.getMessage.contains("slot 1 holds 4"))
+    val neg = intercept[IllegalArgumentException](VertexOrder.rankOf(Array(0, 1, -1)))
+    assert(neg.getMessage.contains("slot 2 holds -1"))
+  }
+
   test("degreeOrder ranks the star center first") {
     val g = GraphGen.star(8)
     assert(VertexOrder.degreeOrder(g).head == 0)
