@@ -1,13 +1,14 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
+import repro.core.Pspc
 import repro.exp.Experiments
 import repro.graph.GraphGen
 import repro.order.VertexOrder
-import repro.spark.{GraphxPspc, SparkPspc, SparkQueries}
+import repro.spark.{SparkPspc, SparkQueries}
 
-/** Distributed PSPC construction on Spark (DataFrame and GraphX variants),
-  * runnable under spark-submit:
+/** Distributed PSPC construction on Spark, timed against the threaded
+  * build, runnable under spark-submit:
   *
   * {{{
   * spark-submit --class repro.jobs.SparkBuildJob repro.jar [nVertices] [avgDeg]
@@ -25,20 +26,21 @@ object SparkBuildJob {
     try {
       val g = GraphGen.largestComponent(GraphGen.chungLu(n, avgDeg, 2.5, seed = 21))
       val order = VertexOrder.degreeOrder(g)
-      val (dfIdx, dfMs) = Experiments.timeMs(SparkPspc.build(spark, g, order))
-      val (gxIdx, gxMs) = Experiments.timeMs(GraphxPspc.build(spark, g, order))
-      require(dfIdx.canonical == gxIdx.canonical, "DataFrame and GraphX labels must agree")
+      val ((localIdx, _), localMs) =
+        Experiments.timeMs(Pspc.build(g, order, threads = Experiments.MaxThreads))
+      val (sparkIdx, sparkMs) = Experiments.timeMs(SparkPspc.build(spark, g, order))
+      require(localIdx.canonical == sparkIdx.canonical, "Spark and threaded labels must agree")
 
       import spark.implicits._
       val rnd = new scala.util.Random(5)
       val queries = spark
         .createDataset(Seq.fill(1000)((rnd.nextInt(g.n), rnd.nextInt(g.n))).distinct)
         .toDF("s", "t")
-      val answered = SparkQueries.evaluate(spark, dfIdx.toDF(spark), queries).count()
+      val answered = SparkQueries.evaluate(spark, sparkIdx.toDF(spark), queries).count()
 
       println(f"graph |V|=${g.n} |E|=${g.m}")
-      println(f"DataFrame build: $dfMs%.0f ms, entries=${dfIdx.entryCount}")
-      println(f"GraphX build:    $gxMs%.0f ms, entries=${gxIdx.entryCount}")
+      println(f"threaded build (${Experiments.MaxThreads}T): $localMs%.0f ms, entries=${localIdx.entryCount}")
+      println(f"Spark build:         $sparkMs%.0f ms, entries=${sparkIdx.entryCount}")
       println(s"answered $answered batch queries via DataFrame joins")
     } finally spark.stop()
   }

@@ -5,9 +5,9 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 /** Synthetic graph edge tables. The paper (PSPC, ICDE'23) evaluates on
   * graphs; these generators expose the synthetic dataset analogues
   * (repro.graph.GraphGen) as both-direction (src, dst) edge DataFrames — the
-  * input shape of repro.spark.SparkPspc / GraphxPspc and the DuckDB
-  * ground-truth oracle. Deterministic in their parameters, so the oracle
-  * sees identical input.
+  * input shape of `Graph.fromDataFrame` and of the DuckDB ground-truth
+  * oracle. Deterministic in their parameters, so the oracle sees identical
+  * input.
   */
 object SynthData {
 

@@ -138,21 +138,4 @@ object LabelIndex {
     }
     new LabelIndex(order, hubs, dists, cnts)
   }
-
-  /** Assemble an index of `n` vertices from `(v, hub, dist, cnt)` rows in
-    * any order — the shape the Spark builders collect.
-    */
-  def fromRows(order: Array[Int], n: Int, rows: Iterable[(Int, Int, Int, Long)]): LabelIndex = {
-    val len = new Array[Int](n)
-    rows.foreach(r => len(r._1) += 1)
-    val hubs = Array.tabulate(n)(v => new Array[Int](len(v)))
-    val dists = Array.tabulate(n)(v => new Array[Int](len(v)))
-    val cnts = Array.tabulate(n)(v => new Array[Long](len(v)))
-    java.util.Arrays.fill(len, 0)
-    rows.foreach { case (v, h, d, c) =>
-      hubs(v)(len(v)) = h; dists(v)(len(v)) = d; cnts(v)(len(v)) = c
-      len(v) += 1
-    }
-    fromArrays(order, hubs, dists, cnts)
-  }
 }

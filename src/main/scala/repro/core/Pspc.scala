@@ -23,6 +23,10 @@ import scala.collection.mutable
   *     `dis(u,x) + dis(x,w) < d`.
   * Duplicate candidates merge by summing counts (Label Merging); the
   * surviving merged count is exactly the trough-path count.
+  *
+  * One class, [[Pspc.Kernel]], holds these rules; the threaded `build` here
+  * and the Spark build (`repro.spark.SparkPspc`) both run their rounds
+  * through it.
   */
 object Pspc {
 
@@ -43,6 +47,125 @@ object Pspc {
       entries: Long,
   ) {
     def totalMs: Double = orderMs + llMs + lcMs
+  }
+
+  /** Per-worker scratch for [[Kernel]]: a dense hub->dist table of L(u)
+    * and candidate accumulators, both reset via touch lists, plus the
+    * survivors of the last vertex the kernel processed.
+    */
+  final class Scratch(n: Int) {
+    val tmpDist: Array[Int] = Array.fill(n)(-1)
+    val candCnt: Array[Long] = new Array[Long](n)
+    val candList: IntBuf = new IntBuf(64)
+    val outHubs: IntBuf = new IntBuf(8)
+    val outCnts: LongBuf = new LongBuf(8)
+  }
+
+  /** The label arrays of one build, starting at L_0 (every vertex its own
+    * hub), and the round kernel over them. Every builder runs its rounds
+    * through this class: the threaded pull and push loops below, and
+    * `repro.spark.SparkPspc`, which broadcasts it as the frozen snapshot.
+    * Within a round only `pull` / `prunePushed` run, and they read the
+    * arrays and write nothing but the caller's [[Scratch]]; `append` is
+    * the one mutation and runs after every vertex of the round is done.
+    *
+    * @param landmarks landmark filter, or `null` for none
+    */
+  final class Kernel(g: Graph, rank: Array[Int], landmarks: Landmarks) extends Serializable {
+    val n: Int = g.n
+    val hubs: Array[Array[Int]] = Array.tabulate(n)(v => Array(v))
+    val dists: Array[Array[Int]] = Array.fill(n)(Array(0))
+    val cnts: Array[Array[Long]] = Array.fill(n)(Array(1L))
+    /** Round-(d-1) entries of v live at indices [prevStart(v), hubs(v).length). */
+    val prevStart: Array[Int] = new Array[Int](n)
+
+    /** Pull the distance-`d` candidates of `u` from its neighbours'
+      * round-(d-1) entries (rank rule, Label Elimination, Label Merging),
+      * prune them, and leave the survivors in `s.outHubs` / `s.outCnts`.
+      */
+    def pull(u: Int, d: Int, s: Scratch): Unit = {
+      val ru = rank(u)
+      load(u, s)
+      g.foreachNbr(u) { v =>
+        val hv = hubs(v); val cv = cnts(v)
+        var j = prevStart(v)
+        while (j < hv.length) {
+          val w = hv(j)
+          if (rank(w) < ru && s.tmpDist(w) < 0) {
+            val mult = if (w == v) 1L else g.weight(v)
+            if (s.candCnt(w) == 0L) s.candList += w
+            s.candCnt(w) += cv(j) * mult
+          }
+          j += 1
+        }
+      }
+      prune(u, d, s)
+    }
+
+    /** Prune `u`'s push-merged candidates `cands` (hub -> count) like
+      * `pull` does, after Label Elimination.
+      */
+    def prunePushed(u: Int, d: Int, cands: scala.collection.Map[Int, Long], s: Scratch): Unit = {
+      load(u, s)
+      for ((w, c) <- cands) if (s.tmpDist(w) < 0) {
+        s.candList += w
+        s.candCnt(w) = c
+      }
+      prune(u, d, s)
+    }
+
+    private def load(u: Int, s: Scratch): Unit = {
+      val hu = hubs(u); val du = dists(u)
+      var i = 0
+      while (i < hu.length) { s.tmpDist(hu(i)) = du(i); i += 1 }
+      s.candList.clear(); s.outHubs.clear(); s.outCnts.clear()
+    }
+
+    /** Apply the landmark filter and the query rule to `s.candList`, keep
+      * the survivors, and clear the scratch `load` filled.
+      */
+    private def prune(u: Int, d: Int, s: Scratch): Unit = {
+      var k = 0
+      while (k < s.candList.len) {
+        val w = s.candList(k)
+        val c = s.candCnt(w)
+        s.candCnt(w) = 0L
+        // -1 undecided, 0 keep, 1 prune
+        var verdict = if (landmarks != null) landmarks.decide(w, u, d) else -1
+        if (verdict == -1) {
+          // query rule: scan L(w) for a common hub beating distance d
+          val hw = hubs(w); val dw = dists(w)
+          var j = 0
+          verdict = 0
+          while (j < hw.length && verdict == 0) {
+            val t = s.tmpDist(hw(j))
+            if (t >= 0 && t + dw(j) < d) verdict = 1
+            j += 1
+          }
+        }
+        if (verdict == 0) { s.outHubs += w; s.outCnts += c }
+        k += 1
+      }
+      val hu = hubs(u)
+      var i = 0
+      while (i < hu.length) { s.tmpDist(hu(i)) = -1; i += 1 }
+    }
+
+    /** Append `u`'s round-`d` survivors (`null` for none) and make them its
+      * round-`d` entries. Call it for every vertex once the round is done.
+      */
+    def append(u: Int, d: Int, nh: Array[Int], nc: Array[Long]): Unit =
+      if (nh != null && nh.length > 0) {
+        val oldLen = hubs(u).length
+        val h2 = java.util.Arrays.copyOf(hubs(u), oldLen + nh.length)
+        val d2 = java.util.Arrays.copyOf(dists(u), oldLen + nh.length)
+        val c2 = java.util.Arrays.copyOf(cnts(u), oldLen + nh.length)
+        System.arraycopy(nh, 0, h2, oldLen, nh.length)
+        java.util.Arrays.fill(d2, oldLen, oldLen + nh.length, d)
+        System.arraycopy(nc, 0, c2, oldLen, nh.length)
+        hubs(u) = h2; dists(u) = d2; cnts(u) = c2
+        prevStart(u) = oldLen
+      } else prevStart(u) = hubs(u).length
   }
 
   /** Build the PSPC index.
@@ -73,28 +196,8 @@ object Pspc {
 
     val lcStart = System.nanoTime()
 
-    // Frozen label arrays; only the append phase (a barrier) replaces them.
-    val hubs = Array.fill(n)(Array.empty[Int])
-    val dists = Array.fill(n)(Array.empty[Int])
-    val cnts = Array.fill(n)(Array.empty[Long])
-    // Round-(d-1) entries of v live at indices [prevStart(v), hubs(v).length).
-    val prevStart = new Array[Int](n)
-
-    // L_0: every vertex is its own hub.
-    var v = 0
-    while (v < n) {
-      hubs(v) = Array(v); dists(v) = Array(0); cnts(v) = Array(1L)
-      v += 1
-    }
-
-    // Per-thread scratch: dense hub->dist table of L(u) and candidate
-    // accumulators, reset via touch lists.
-    final class Scratch {
-      val tmpDist: Array[Int] = Array.fill(n)(-1)
-      val candCnt: Array[Long] = new Array[Long](n)
-      val candList: IntBuf = new IntBuf(64)
-    }
-    val scratches = Array.fill(math.max(1, threads))(new Scratch)
+    val kernel = new Kernel(g, rank, landmarks)
+    val scratches = Array.fill(math.max(1, threads))(new Scratch(n))
 
     var d = 1
     var totalNew = 1L
@@ -116,6 +219,10 @@ object Pspc {
       case DynamicSchedule => workers.dynamic(total, math.max(16, total / (math.max(1, threads) * 16)))(task)
     }
 
+    /** Keep the survivors the kernel left in `s` as `u`'s new entries. */
+    def keep(u: Int, s: Scratch): Unit =
+      if (s.outHubs.len > 0) { newHubs(u) = s.outHubs.toArray; newCnts(u) = s.outCnts.toArray }
+
     try while (totalNew > 0) {
       totalNew = 0L
       // --- plan the schedule -------------------------------------------
@@ -124,7 +231,7 @@ object Pspc {
         var u = 0
         while (u < n) {
           var c = 0L
-          g.foreachNbr(u)(v => c += (hubs(v).length - prevStart(v)).toLong)
+          g.foreachNbr(u)(v => c += (kernel.hubs(v).length - kernel.prevStart(v)).toLong)
           cost(u) = c
           u += 1
         }
@@ -143,7 +250,8 @@ object Pspc {
             var k = from
             while (k < until) {
               val u = taskOrder(k)
-              pullVertex(u, d, s)
+              kernel.pull(u, d, s)
+              keep(u, s)
               k += 1
             }
           }
@@ -156,93 +264,21 @@ object Pspc {
         var k = from
         while (k < until) {
           val u = taskOrder(k)
-          val nh = newHubs(u)
-          if (nh != null && nh.length > 0) {
-            val oldLen = hubs(u).length
-            val h2 = java.util.Arrays.copyOf(hubs(u), oldLen + nh.length)
-            val d2 = java.util.Arrays.copyOf(dists(u), oldLen + nh.length)
-            val c2 = java.util.Arrays.copyOf(cnts(u), oldLen + nh.length)
-            System.arraycopy(nh, 0, h2, oldLen, nh.length)
-            java.util.Arrays.fill(d2, oldLen, oldLen + nh.length, d)
-            System.arraycopy(newCnts(u), 0, c2, oldLen, nh.length)
-            hubs(u) = h2; dists(u) = d2; cnts(u) = c2
-            prevStart(u) = oldLen
-          } else {
-            prevStart(u) = hubs(u).length
-          }
+          kernel.append(u, d, newHubs(u), newCnts(u))
           newHubs(u) = null; newCnts(u) = null
           k += 1
         }
       }
       var u = 0
-      while (u < n) { totalNew += hubs(u).length - prevStart(u); u += 1 }
+      while (u < n) { totalNew += kernel.hubs(u).length - kernel.prevStart(u); u += 1 }
       if (totalNew > 0) rounds += 1
       d += 1
     }
     finally workers.close()
 
-    /** Pull-based candidate processing for one vertex (phase A). */
-    def pullVertex(u: Int, d: Int, s: Scratch): Unit = {
-      val ru = rank(u)
-      val hu = hubs(u); val du = dists(u)
-      var i = 0
-      while (i < hu.length) { s.tmpDist(hu(i)) = du(i); i += 1 }
-      s.candList.clear()
-      g.foreachNbr(u) { v =>
-        val hv = hubs(v); val cv = cnts(v)
-        var j = prevStart(v)
-        while (j < hv.length) {
-          val w = hv(j)
-          if (rank(w) < ru && s.tmpDist(w) < 0) {
-            val mult = if (w == v) 1L else g.weight(v)
-            if (s.candCnt(w) == 0L) s.candList += w
-            s.candCnt(w) += cv(j) * mult
-          }
-          j += 1
-        }
-      }
-      emitSurvivors(u, d, s)
-      i = 0
-      while (i < hu.length) { s.tmpDist(hu(i)) = -1; i += 1 }
-    }
-
-    /** Apply landmark + query pruning to `s.candList` and store survivors
-      * into `newHubs(u)/newCnts(u)`. Expects `s.tmpDist` loaded with L(u).
-      */
-    def emitSurvivors(u: Int, d: Int, s: Scratch): Unit = {
-      var outH: IntBuf = null
-      var outC: LongBuf = null
-      var k = 0
-      while (k < s.candList.len) {
-        val w = s.candList(k)
-        val c = s.candCnt(w)
-        s.candCnt(w) = 0L
-        var verdict = -1 // -1 undecided, 0 keep, 1 prune
-        if (landmarks != null) verdict = landmarks.decide(w, u, d)
-        if (verdict == -1) {
-          // query rule: scan L(w) for a common hub beating distance d
-          val hw = hubs(w); val dw = dists(w)
-          var j = 0
-          verdict = 0
-          while (j < hw.length && verdict == 0) {
-            val t = s.tmpDist(hw(j))
-            if (t >= 0 && t + dw(j) < d) verdict = 1
-            j += 1
-          }
-        }
-        if (verdict == 0) {
-          if (outH == null) { outH = new IntBuf(8); outC = new LongBuf(8) }
-          outH += w
-          outC += c
-        }
-        k += 1
-      }
-      if (outH != null) { newHubs(u) = outH.toArray; newCnts(u) = outC.toArray }
-    }
-
     /** Push-based round: sources emit their round-(d-1) entries to
       * neighbors, partitioned by target; per-partition threads then merge
-      * and prune with the same rules as pull.
+      * the candidates and prune them through the kernel.
       */
     def pushRound(d: Int): Unit = {
       val parts = math.max(1, threads)
@@ -254,8 +290,8 @@ object Pspc {
         var k = from
         while (k < until) {
           val v = taskOrder(k)
-          val hv = hubs(v); val cv = cnts(v)
-          var j = prevStart(v)
+          val hv = kernel.hubs(v); val cv = kernel.cnts(v)
+          var j = kernel.prevStart(v)
           while (j < hv.length) {
             val w = hv(j)
             val rw = rank(w)
@@ -273,7 +309,8 @@ object Pspc {
         }
       }
       // merge + prune per target partition
-      parallelFor(parts) { (_, from, until) =>
+      parallelFor(parts) { (tid, from, until) =>
+        val s = scratches(tid)
         var p = from
         while (p < until) {
           val perTarget = mutable.HashMap.empty[Int, mutable.HashMap[Int, Long]]
@@ -288,19 +325,9 @@ object Pspc {
             }
             src += 1
           }
-          val s = new Scratch
           for ((u, cands) <- perTarget) {
-            val hu = hubs(u); val du = dists(u)
-            var i = 0
-            while (i < hu.length) { s.tmpDist(hu(i)) = du(i); i += 1 }
-            s.candList.clear()
-            for ((w, c) <- cands) if (s.tmpDist(w) < 0) {
-              s.candList += w
-              s.candCnt(w) = c
-            }
-            emitSurvivors(u, d, s)
-            i = 0
-            while (i < hu.length) { s.tmpDist(hu(i)) = -1; i += 1 }
+            kernel.prunePushed(u, d, cands, s)
+            keep(u, s)
           }
           p += 1
         }
@@ -309,7 +336,7 @@ object Pspc {
 
     val lcMs = (System.nanoTime() - lcStart) / 1e6
 
-    val idx = LabelIndex.fromArrays(order, hubs, dists, cnts)
+    val idx = LabelIndex.fromArrays(order, kernel.hubs, kernel.dists, kernel.cnts)
     (idx, BuildStats(orderMs, llMs, lcMs, rounds, idx.entryCount))
   }
 }

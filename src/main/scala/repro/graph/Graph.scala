@@ -67,8 +67,9 @@ final class Graph private (
     out.result()
   }
 
-  /** Both-direction edge DataFrame `(src, dst)` — the shape the Spark
-    * builders consume (each undirected edge appears twice).
+  /** Both-direction edge DataFrame `(src, dst)` — the shape `fromDataFrame`
+    * and the DuckDB walk-counting oracle consume (each undirected edge
+    * appears twice).
     */
   def edgesDF(spark: SparkSession): DataFrame = {
     import spark.implicits._

@@ -6,15 +6,15 @@ import repro.graph.Graph
 
 class LabelIndexSuite extends AnyFunSuite {
 
-  /** Index over per-vertex `(hub, dist, cnt)` lists, via `fromRows`. */
+  /** Index over per-vertex `(hub, dist, cnt)` lists, via `fromArrays`. */
   private def indexOf(order: Array[Int])(lists: Seq[(Int, Int, Long)]*): LabelIndex =
-    LabelIndex.fromRows(order, lists.length,
-      for ((es, v) <- lists.zipWithIndex; (h, d, c) <- es) yield (v, h, d, c))
+    LabelIndex.fromArrays(order, lists.map(_.map(_._1).toArray).toArray,
+      lists.map(_.map(_._2).toArray).toArray, lists.map(_.map(_._3).toArray).toArray)
 
-  /** Table II, its rows handed over in a scrambled order. */
+  /** Table II, each label list handed over in a scrambled order. */
   private def tableIIIndex: LabelIndex = {
-    val rows = for (v <- 0 until 10; (h, d, c) <- TestUtil.tableII(v).toSeq) yield (v, h, d, c)
-    LabelIndex.fromRows(Graph.paperExampleOrder, 10, new scala.util.Random(1).shuffle(rows))
+    val rnd = new scala.util.Random(1)
+    indexOf(Graph.paperExampleOrder)((0 until 10).map(v => rnd.shuffle(TestUtil.tableII(v).toSeq)): _*)
   }
 
   test("fromArrays sorts each label list by hub rank") {

@@ -1,55 +1,75 @@
 package repro.spark
 
 import repro.{SparkSpec, TestUtil}
-import repro.core.Pspc
+import repro.core.{LabelIndex, Pspc}
 import repro.graph.{Graph, GraphGen}
 import repro.order.VertexOrder
 
 class SparkPspcSuite extends SparkSpec {
+  import Pspc._
+
+  /** The Spark build of `g` equals threaded PSPC under every paradigm,
+    * schedule and thread count.
+    */
+  private def assertMatchesThreaded(g: Graph, order: Array[Int], dist: LabelIndex): Unit =
+    for (p <- Seq(Pull, Push); s <- Seq(StaticSchedule, DynamicSchedule); t <- Seq(1, 4))
+      withClue(s"$p / $s / $t threads: ") {
+        TestUtil.assertSameLabels(Pspc.build(g, order, threads = t, paradigm = p, schedule = s)._1, dist)
+      }
 
   test("DataFrame PSPC reproduces the paper's Table II on the Fig. 2 graph") {
     val g = Graph.paperExample
     val idx = SparkPspc.build(spark, g, Graph.paperExampleOrder)
     for (v <- 0 until 10)
       assert(idx.labelOf(v).toSet == TestUtil.tableII(v), s"L(v${v + 1})")
+    assertMatchesThreaded(g, Graph.paperExampleOrder, idx)
   }
 
   test("DataFrame PSPC equals the threaded PSPC index on random graphs") {
     for (seed <- Seq(0, 1)) {
       val g = TestUtil.randomGraph(seed)
       val order = VertexOrder.degreeOrder(g)
-      val local = Pspc.build(g, order)._1
-      val dist = SparkPspc.build(spark, g, order)
-      TestUtil.assertSameLabels(local, dist)
+      assertMatchesThreaded(g, order, SparkPspc.build(spark, g, order))
     }
   }
 
   test("DataFrame PSPC is exact on a power-law graph") {
     val g = GraphGen.chungLu(60, 6.0, 2.4, seed = 4)
     val order = VertexOrder.degreeOrder(g)
-    TestUtil.assertIndexExact(g, SparkPspc.build(spark, g, order))
+    val idx = SparkPspc.build(spark, g, order)
+    TestUtil.assertIndexExact(g, idx)
+    assertMatchesThreaded(g, order, idx)
   }
 
   test("DataFrame PSPC honours vertex weights") {
     val g = Graph.fromEdges(5, Seq((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)),
                             Array(1L, 3L, 1L, 2L, 1L))
     val order = VertexOrder.degreeOrder(g)
-    val local = Pspc.build(g, order)._1
-    TestUtil.assertSameLabels(local, SparkPspc.build(spark, g, order))
+    assertMatchesThreaded(g, order, SparkPspc.build(spark, g, order))
   }
 
   test("DataFrame PSPC handles a disconnected graph") {
     val g = Graph.fromEdges(6, Seq((0, 1), (1, 2), (3, 4)))
     val order = VertexOrder.degreeOrder(g)
-    TestUtil.assertIndexExact(g, SparkPspc.build(spark, g, order))
+    val idx = SparkPspc.build(spark, g, order)
+    TestUtil.assertIndexExact(g, idx)
+    assertMatchesThreaded(g, order, idx)
   }
 
   test("label DataFrame has the expected schema and row count") {
     val g = GraphGen.cycle(8)
     val order = VertexOrder.degreeOrder(g)
-    val df = SparkPspc.buildLabels(spark, g, order)
+    val df = SparkPspc.build(spark, g, order).toDF(spark)
     assert(df.columns.toSeq == Seq("v", "h", "d", "c"))
     val local = Pspc.build(g, order)._1
     assert(df.count() == local.entryCount)
+  }
+
+  test("Spark PSPC runs past 64 rounds on a graph of diameter 70") {
+    val g = GraphGen.cycle(140)
+    val order = VertexOrder.degreeOrder(g)
+    val idx = SparkPspc.build(spark, g, order)
+    TestUtil.assertIndexExact(g, idx)
+    assertMatchesThreaded(g, order, idx)
   }
 }

@@ -90,7 +90,7 @@ class SparkQueriesSuite extends SparkSpec {
   test("evaluate on the distributed-built label table matches the reference") {
     val g = GraphGen.wattsStrogatz(24, 2, 0.3, seed = 10)
     val order = VertexOrder.degreeOrder(g)
-    val labels = SparkPspc.buildLabels(spark, g, order)
+    val labels = SparkPspc.build(spark, g, order).toDF(spark)
     val queries = spark
       .createDataset(for (s <- 0 until g.n; t <- 0 until g.n) yield (s, t))
       .toDF("s", "t")
