@@ -17,8 +17,11 @@ import repro.order.VertexOrder
   */
 object HpSpc {
 
-  /** Build the ESPC index under a fixed total order. */
+  /** Build the ESPC index under a fixed total order, a permutation of
+    * `0 until g.n`.
+    */
   def build(g: Graph, order: Array[Int]): LabelIndex = {
+    VertexOrder.rankOf(order, g.n) // reject a malformed order before any BFS
     val s = new State(g.n)
     var r = 0
     while (r < order.length) {

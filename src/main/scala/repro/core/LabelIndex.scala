@@ -20,7 +20,7 @@ final class LabelIndex(
 ) extends Serializable {
 
   val n: Int = hubs.length
-  val rank: Array[Int] = VertexOrder.rankOf(order)
+  val rank: Array[Int] = VertexOrder.rankOf(order, hubs.length)
 
   /** Total number of label entries. */
   def entryCount: Long = {
@@ -103,7 +103,7 @@ object LabelIndex {
       dists: Array[Array[Int]],
       cnts: Array[Array[Long]],
   ): LabelIndex = {
-    val rank = VertexOrder.rankOf(order)
+    val rank = VertexOrder.rankOf(order, hubs.length)
     // key = rank(hub) << 32 | position: one primitive sort orders a list by
     // rank and says where each entry came from
     var keys = new Array[Long](16)

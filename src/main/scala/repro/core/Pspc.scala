@@ -2,7 +2,6 @@ package repro.core
 
 import repro.graph.Graph
 import repro.order.VertexOrder
-import scala.collection.mutable
 
 /** PSPC — the paper's parallel shortest-path-counting index construction.
   *
@@ -29,10 +28,6 @@ import scala.collection.mutable
   * through it.
   */
 object Pspc {
-
-  sealed trait Paradigm
-  case object Pull extends Paradigm
-  case object Push extends Paradigm
 
   sealed trait Schedule
   case object StaticSchedule extends Schedule
@@ -63,11 +58,11 @@ object Pspc {
 
   /** The label arrays of one build, starting at L_0 (every vertex its own
     * hub), and the round kernel over them. Every builder runs its rounds
-    * through this class: the threaded pull and push loops below, and
+    * through this class: the threaded loop in `build` below, and
     * `repro.spark.SparkPspc`, which broadcasts it as the frozen snapshot.
-    * Within a round only `pull` / `prunePushed` run, and they read the
-    * arrays and write nothing but the caller's [[Scratch]]; `append` is
-    * the one mutation and runs after every vertex of the round is done.
+    * Within a round only `pull` runs, and it reads the arrays and writes
+    * nothing but the caller's [[Scratch]]; `append` is the one mutation
+    * and runs after every vertex of the round is done.
     *
     * @param landmarks landmark filter, or `null` for none
     */
@@ -81,11 +76,15 @@ object Pspc {
 
     /** Pull the distance-`d` candidates of `u` from its neighbours'
       * round-(d-1) entries (rank rule, Label Elimination, Label Merging),
-      * prune them, and leave the survivors in `s.outHubs` / `s.outCnts`.
+      * prune them (landmark filter, query rule), and leave the survivors in
+      * `s.outHubs` / `s.outCnts`.
       */
     def pull(u: Int, d: Int, s: Scratch): Unit = {
       val ru = rank(u)
-      load(u, s)
+      val hu = hubs(u); val du = dists(u)
+      var i = 0
+      while (i < hu.length) { s.tmpDist(hu(i)) = du(i); i += 1 }
+      s.candList.clear(); s.outHubs.clear(); s.outCnts.clear()
       g.foreachNbr(u) { v =>
         val hv = hubs(v); val cv = cnts(v)
         var j = prevStart(v)
@@ -99,32 +98,6 @@ object Pspc {
           j += 1
         }
       }
-      prune(u, d, s)
-    }
-
-    /** Prune `u`'s push-merged candidates `cands` (hub -> count) like
-      * `pull` does, after Label Elimination.
-      */
-    def prunePushed(u: Int, d: Int, cands: scala.collection.Map[Int, Long], s: Scratch): Unit = {
-      load(u, s)
-      for ((w, c) <- cands) if (s.tmpDist(w) < 0) {
-        s.candList += w
-        s.candCnt(w) = c
-      }
-      prune(u, d, s)
-    }
-
-    private def load(u: Int, s: Scratch): Unit = {
-      val hu = hubs(u); val du = dists(u)
-      var i = 0
-      while (i < hu.length) { s.tmpDist(hu(i)) = du(i); i += 1 }
-      s.candList.clear(); s.outHubs.clear(); s.outCnts.clear()
-    }
-
-    /** Apply the landmark filter and the query rule to `s.candList`, keep
-      * the survivors, and clear the scratch `load` filled.
-      */
-    private def prune(u: Int, d: Int, s: Scratch): Unit = {
       var k = 0
       while (k < s.candList.len) {
         val w = s.candList(k)
@@ -146,8 +119,7 @@ object Pspc {
         if (verdict == 0) { s.outHubs += w; s.outCnts += c }
         k += 1
       }
-      val hu = hubs(u)
-      var i = 0
+      i = 0
       while (i < hu.length) { s.tmpDist(hu(i)) = -1; i += 1 }
     }
 
@@ -168,12 +140,15 @@ object Pspc {
       } else prevStart(u) = hubs(u).length
   }
 
-  /** Build the PSPC index.
+  /** Build the PSPC index. Every round pulls: each vertex reads its
+    * neighbours' round-(d-1) entries from the frozen snapshot and writes
+    * only its own new entries. The paper's push propagation is not
+    * implemented (DESIGN.md §1 gives the measurements).
     *
     * @param g            input graph (weights honoured for reduced graphs)
-    * @param order        total order, `order(rank) = vertex`
+    * @param order        total order, `order(rank) = vertex`; must be a
+    *                     permutation of `0 until g.n`
     * @param threads      worker threads (1 = the paper's "PSPC", >1 = "PSPC⁺")
-    * @param paradigm     pull- or push-based propagation (Definition 9/10)
     * @param schedule     static node-order chunks or cost-based dynamic
     * @param numLandmarks 0 disables landmark filtering
     * @param orderMs      externally measured ordering time, folded into stats
@@ -182,13 +157,12 @@ object Pspc {
       g: Graph,
       order: Array[Int],
       threads: Int = 1,
-      paradigm: Paradigm = Pull,
       schedule: Schedule = DynamicSchedule,
       numLandmarks: Int = 0,
       orderMs: Double = 0.0,
   ): (LabelIndex, BuildStats) = {
     val n = g.n
-    val rank = VertexOrder.rankOf(order)
+    val rank = VertexOrder.rankOf(order, n)
 
     val llStart = System.nanoTime()
     val landmarks = if (numLandmarks > 0) new Landmarks(g, math.min(numLandmarks, n)) else null
@@ -219,10 +193,6 @@ object Pspc {
       case DynamicSchedule => workers.dynamic(total, math.max(16, total / (math.max(1, threads) * 16)))(task)
     }
 
-    /** Keep the survivors the kernel left in `s` as `u`'s new entries. */
-    def keep(u: Int, s: Scratch): Unit =
-      if (s.outHubs.len > 0) { newHubs(u) = s.outHubs.toArray; newCnts(u) = s.outCnts.toArray }
-
     try while (totalNew > 0) {
       totalNew = 0L
       // --- plan the schedule -------------------------------------------
@@ -243,20 +213,15 @@ object Pspc {
       }
 
       // --- phase A: compute candidates + prune (parallel, read-only) ----
-      paradigm match {
-        case Pull =>
-          parallelFor(n) { (tid, from, until) =>
-            val s = scratches(tid)
-            var k = from
-            while (k < until) {
-              val u = taskOrder(k)
-              kernel.pull(u, d, s)
-              keep(u, s)
-              k += 1
-            }
-          }
-        case Push =>
-          pushRound(d)
+      parallelFor(n) { (tid, from, until) =>
+        val s = scratches(tid)
+        var k = from
+        while (k < until) {
+          val u = taskOrder(k)
+          kernel.pull(u, d, s)
+          if (s.outHubs.len > 0) { newHubs(u) = s.outHubs.toArray; newCnts(u) = s.outCnts.toArray }
+          k += 1
+        }
       }
 
       // --- phase B: append (parallel, each vertex owned by one thread) --
@@ -275,64 +240,6 @@ object Pspc {
       d += 1
     }
     finally workers.close()
-
-    /** Push-based round: sources emit their round-(d-1) entries to
-      * neighbors, partitioned by target; per-partition threads then merge
-      * the candidates and prune them through the kernel.
-      */
-    def pushRound(d: Int): Unit = {
-      val parts = math.max(1, threads)
-      // buffers(sourceThread)(targetPartition) = flat triples (u, w, cnt)
-      val buffers =
-        Array.fill(parts)(Array.fill(parts)((new IntBuf(64), new IntBuf(64), new LongBuf(64))))
-      parallelFor(n) { (tid, from, until) =>
-        val mine = buffers(tid)
-        var k = from
-        while (k < until) {
-          val v = taskOrder(k)
-          val hv = kernel.hubs(v); val cv = kernel.cnts(v)
-          var j = kernel.prevStart(v)
-          while (j < hv.length) {
-            val w = hv(j)
-            val rw = rank(w)
-            val mult = if (w == v) 1L else g.weight(v)
-            val c = cv(j) * mult
-            g.foreachNbr(v) { u =>
-              if (rank(u) > rw) {
-                val (bu, bw, bc) = mine(u % parts)
-                bu += u; bw += w; bc += c
-              }
-            }
-            j += 1
-          }
-          k += 1
-        }
-      }
-      // merge + prune per target partition
-      parallelFor(parts) { (tid, from, until) =>
-        val s = scratches(tid)
-        var p = from
-        while (p < until) {
-          val perTarget = mutable.HashMap.empty[Int, mutable.HashMap[Int, Long]]
-          var src = 0
-          while (src < parts) {
-            val (bu, bw, bc) = buffers(src)(p)
-            var i = 0
-            while (i < bu.len) {
-              val m = perTarget.getOrElseUpdate(bu(i), mutable.HashMap.empty)
-              m(bw(i)) = m.getOrElse(bw(i), 0L) + bc(i)
-              i += 1
-            }
-            src += 1
-          }
-          for ((u, cands) <- perTarget) {
-            kernel.prunePushed(u, d, cands, s)
-            keep(u, s)
-          }
-          p += 1
-        }
-      }
-    }
 
     val lcMs = (System.nanoTime() - lcStart) / 1e6
 

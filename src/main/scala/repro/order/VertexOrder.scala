@@ -11,12 +11,14 @@ import scala.collection.mutable
   */
 object VertexOrder {
 
-  /** `rankOf(order)(v)` = rank of vertex `v` under `order`. Throws
-    * `IllegalArgumentException` naming the first bad slot unless `order` is
-    * a permutation of `0 until order.length`.
+  /** `rankOf(order, n)(v)` = rank of vertex `v` under `order`. Throws
+    * `IllegalArgumentException` unless `order` is a permutation of
+    * `0 until n`: the message names both lengths, or the first bad slot.
+    * Every builder and every [[repro.core.LabelIndex]] checks its order here.
     */
-  def rankOf(order: Array[Int]): Array[Int] = {
-    val n = order.length
+  def rankOf(order: Array[Int], n: Int): Array[Int] = {
+    if (order.length != n)
+      throw new IllegalArgumentException(s"order has ${order.length} slots for a graph of $n vertices")
     val r = Array.fill(n)(-1)
     var i = 0
     while (i < n) {

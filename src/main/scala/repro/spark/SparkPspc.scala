@@ -19,7 +19,7 @@ object SparkPspc {
   /** Build the index of `g` under `order` on `spark` (no landmark filter). */
   def build(spark: SparkSession, g: Graph, order: Array[Int]): LabelIndex = {
     val sc = spark.sparkContext
-    val kernel = new Pspc.Kernel(g, VertexOrder.rankOf(order), null)
+    val kernel = new Pspc.Kernel(g, VertexOrder.rankOf(order, g.n), null)
     val newHubs = new Array[Array[Int]](g.n)
     val newCnts = new Array[Array[Long]](g.n)
     var d = 1

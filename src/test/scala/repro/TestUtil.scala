@@ -50,7 +50,7 @@ object TestUtil {
   }
 
   /** Assert two indexes carry identical label multisets (paper Exp 2:
-    * the PSPC index is invariant to threads/paradigm/schedule).
+    * the PSPC index is invariant to threads/schedule/landmarks).
     */
   def assertSameLabels(a: LabelIndex, b: LabelIndex): Unit = {
     assert(a.n == b.n)

@@ -30,7 +30,7 @@ class HpSpcSuite extends AnyFunSuite {
   test("label counts are exactly the trough-path counts") {
     val g = TestUtil.randomGraph(22)
     val order = VertexOrder.degreeOrder(g)
-    val rank = VertexOrder.rankOf(order)
+    val rank = VertexOrder.rankOf(order, g.n)
     val idx = HpSpc.build(g, order)
     for (v <- 0 until g.n; (h, d, c) <- idx.labelOf(v) if h != v) {
       val (td, tc) = repro.graph.Reference.troughCount(g, v, h, rank)
@@ -102,5 +102,13 @@ class HpSpcSuite extends AnyFunSuite {
     val g = Graph.fromEdges(4, Seq((0, 1), (1, 2), (2, 3)), Array(1L, 2L, 5L, 1L))
     val idx = HpSpc.build(g, VertexOrder.degreeOrder(g))
     TestUtil.assertIndexExact(g, idx, g.weight)
+  }
+
+  test("an order one slot too short or too long is rejected") {
+    val g = GraphGen.path(6)
+    for (order <- Seq(Array(0, 1, 2, 3, 4), Array(0, 1, 2, 3, 4, 5, 6))) {
+      val e = intercept[IllegalArgumentException](HpSpc.build(g, order))
+      assert(e.getMessage.contains(s"${order.length} slots for a graph of 6 vertices"))
+    }
   }
 }

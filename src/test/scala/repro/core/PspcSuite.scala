@@ -60,23 +60,6 @@ class PspcSuite extends AnyFunSuite {
     TestUtil.assertSameLabels(dyn, sta)
   }
 
-  test("push paradigm produces the same index as pull") {
-    for (seed <- 0 until 6) {
-      val g = TestUtil.randomGraph(seed + 50)
-      val order = VertexOrder.degreeOrder(g)
-      val pull = Pspc.build(g, order, threads = 3, paradigm = Pull)._1
-      val push = Pspc.build(g, order, threads = 3, paradigm = Push)._1
-      TestUtil.assertSameLabels(pull, push)
-    }
-  }
-
-  test("push paradigm is exact on the paper example") {
-    val g = Graph.paperExample
-    val (idx, _) = Pspc.build(g, Graph.paperExampleOrder, paradigm = Push)
-    for (v <- 0 until 10)
-      assert(idx.labelOf(v).toSet == TestUtil.tableII(v), s"L(v${v + 1})")
-  }
-
   for (k <- Seq(1, 5, 50)) {
     test(s"landmark filtering with k=$k leaves the index unchanged") {
       val g = TestUtil.randomPowerLaw(5)
@@ -87,11 +70,10 @@ class PspcSuite extends AnyFunSuite {
     }
   }
 
-  test("landmarks combined with push and static schedule stay exact") {
+  test("landmarks combined with the static schedule stay exact") {
     val g = TestUtil.randomGraph(60)
     val order = VertexOrder.degreeOrder(g)
-    val idx = Pspc.build(g, order, threads = 4, paradigm = Push,
-                         schedule = StaticSchedule, numLandmarks = 10)._1
+    val idx = Pspc.build(g, order, threads = 4, schedule = StaticSchedule, numLandmarks = 10)._1
     TestUtil.assertIndexExact(g, idx)
   }
 
@@ -134,24 +116,6 @@ class PspcSuite extends AnyFunSuite {
     TestUtil.assertSameLabels(HpSpc.build(g, order), Pspc.build(g, order)._1)
   }
 
-  test("push paradigm matches pull on weighted graphs") {
-    val g = Graph.fromEdges(6, Seq((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)),
-                            Array(1L, 2L, 1L, 4L, 1L, 3L))
-    val order = VertexOrder.degreeOrder(g)
-    val pull = Pspc.build(g, order, threads = 2, paradigm = Pull)._1
-    val push = Pspc.build(g, order, threads = 2, paradigm = Push)._1
-    TestUtil.assertSameLabels(pull, push)
-    TestUtil.assertIndexExact(g, push, g.weight)
-  }
-
-  test("push paradigm with the static schedule matches pull") {
-    val g = TestUtil.randomPowerLaw(9)
-    val order = VertexOrder.degreeOrder(g)
-    val pull = Pspc.build(g, order, threads = 4, schedule = StaticSchedule, paradigm = Pull)._1
-    val push = Pspc.build(g, order, threads = 4, schedule = StaticSchedule, paradigm = Push)._1
-    TestUtil.assertSameLabels(pull, push)
-  }
-
   test("landmarks with an adversarial order (ascending degree) stay exact") {
     val g = TestUtil.randomGraph(70)
     val order = VertexOrder.degreeOrder(g).reverse
@@ -169,5 +133,13 @@ class PspcSuite extends AnyFunSuite {
     val g = Graph.fromEdges(1, Nil)
     val (idx, stats) = Pspc.build(g, Array(0))
     assert(idx.entryCount == 1L && stats.rounds == 0)
+  }
+
+  test("an order one slot too short or too long is rejected") {
+    val g = GraphGen.path(6)
+    for (order <- Seq(Array(0, 1, 2, 3, 4), Array(0, 1, 2, 3, 4, 5, 6))) {
+      val e = intercept[IllegalArgumentException](Pspc.build(g, order))
+      assert(e.getMessage.contains(s"${order.length} slots for a graph of 6 vertices"))
+    }
   }
 }

@@ -99,7 +99,7 @@ class ReferenceSuite extends AnyFunSuite {
   test("troughCount: paths through higher-ranked vertices are excluded") {
     import repro.order.VertexOrder
     val g = Graph.paperExample
-    val rank = VertexOrder.rankOf(Graph.paperExampleOrder)
+    val rank = VertexOrder.rankOf(Graph.paperExampleOrder, g.n)
     // L(v10) has (v7, 3, 2): of the 4 shortest v10-v7 paths, 2 avoid v1
     val (d, c) = Reference.troughCount(g, 9, 6, rank)
     assert(d == 3 && c == 2L)
@@ -108,7 +108,7 @@ class ReferenceSuite extends AnyFunSuite {
   test("troughCount is zero when no trough path exists") {
     import repro.order.VertexOrder
     val g = Graph.paperExample
-    val rank = VertexOrder.rankOf(Graph.paperExampleOrder)
+    val rank = VertexOrder.rankOf(Graph.paperExampleOrder, g.n)
     // v5 -> v4 (ids 4 -> 3): both shortest paths pass v1 or v7, ranked above v4
     val (d, c) = Reference.troughCount(g, 4, 3, rank)
     assert(d == 2 && c == 0L)
@@ -117,7 +117,7 @@ class ReferenceSuite extends AnyFunSuite {
   test("troughCount against Table II on every labelled pair") {
     import repro.order.VertexOrder
     val g = Graph.paperExample
-    val rank = VertexOrder.rankOf(Graph.paperExampleOrder)
+    val rank = VertexOrder.rankOf(Graph.paperExampleOrder, g.n)
     for ((v, entries) <- TestUtil.tableII; (h, dd, cc) <- entries if h != v) {
       val (d, c) = Reference.troughCount(g, v, h, rank)
       assert(d == dd && c == cc, s"label ($v <- $h)")

@@ -8,18 +8,22 @@ class VertexOrderSuite extends AnyFunSuite {
 
   test("rankOf inverts an order") {
     val order = Array(3, 1, 0, 2)
-    val rank = VertexOrder.rankOf(order)
+    val rank = VertexOrder.rankOf(order, 4)
     assert(rank.toSeq == Seq(2, 1, 3, 0))
     for (r <- order.indices) assert(rank(order(r)) == r)
   }
 
   test("rankOf rejects an order that is not a permutation") {
-    val dup = intercept[IllegalArgumentException](VertexOrder.rankOf(Array(3, 1, 3, 0)))
+    val dup = intercept[IllegalArgumentException](VertexOrder.rankOf(Array(3, 1, 3, 0), 4))
     assert(dup.getMessage.contains("slot 2 holds 3"))
-    val out = intercept[IllegalArgumentException](VertexOrder.rankOf(Array(0, 4, 1, 2)))
+    val out = intercept[IllegalArgumentException](VertexOrder.rankOf(Array(0, 4, 1, 2), 4))
     assert(out.getMessage.contains("slot 1 holds 4"))
-    val neg = intercept[IllegalArgumentException](VertexOrder.rankOf(Array(0, 1, -1)))
+    val neg = intercept[IllegalArgumentException](VertexOrder.rankOf(Array(0, 1, -1), 3))
     assert(neg.getMessage.contains("slot 2 holds -1"))
+    val short = intercept[IllegalArgumentException](VertexOrder.rankOf(Array(1, 0, 2), 4))
+    assert(short.getMessage.contains("3 slots for a graph of 4 vertices"))
+    val long = intercept[IllegalArgumentException](VertexOrder.rankOf(Array(1, 0, 2, 3, 4), 4))
+    assert(long.getMessage.contains("5 slots for a graph of 4 vertices"))
   }
 
   test("degreeOrder ranks the star center first") {
@@ -50,7 +54,7 @@ class VertexOrderSuite extends AnyFunSuite {
     val order = VertexOrder.treeDecompOrder(g)
     // endpoints are eliminated first, so they carry the lowest ranks
     assert(order.last == 0 || order.last == 8 || g.deg(order.last) == 1)
-    val rank = VertexOrder.rankOf(order)
+    val rank = VertexOrder.rankOf(order, g.n)
     assert(rank(0) > rank(4) || rank(8) > rank(4))
   }
 
@@ -58,7 +62,7 @@ class VertexOrderSuite extends AnyFunSuite {
     // min-degree elimination strips leaves until the star is a single edge;
     // the center is eliminated second-to-last, so its rank is 0 or 1
     val g = GraphGen.star(9)
-    val rank = VertexOrder.rankOf(VertexOrder.treeDecompOrder(g))
+    val rank = VertexOrder.rankOf(VertexOrder.treeDecompOrder(g), g.n)
     assert(rank(0) <= 1)
   }
 

@@ -8,13 +8,13 @@ import repro.order.VertexOrder
 class SparkPspcSuite extends SparkSpec {
   import Pspc._
 
-  /** The Spark build of `g` equals threaded PSPC under every paradigm,
-    * schedule and thread count.
+  /** The Spark build of `g` equals threaded PSPC under every schedule
+    * and thread count.
     */
   private def assertMatchesThreaded(g: Graph, order: Array[Int], dist: LabelIndex): Unit =
-    for (p <- Seq(Pull, Push); s <- Seq(StaticSchedule, DynamicSchedule); t <- Seq(1, 4))
-      withClue(s"$p / $s / $t threads: ") {
-        TestUtil.assertSameLabels(Pspc.build(g, order, threads = t, paradigm = p, schedule = s)._1, dist)
+    for (s <- Seq(StaticSchedule, DynamicSchedule); t <- Seq(1, 4))
+      withClue(s"$s / $t threads: ") {
+        TestUtil.assertSameLabels(Pspc.build(g, order, threads = t, schedule = s)._1, dist)
       }
 
   test("DataFrame PSPC reproduces the paper's Table II on the Fig. 2 graph") {
@@ -71,5 +71,13 @@ class SparkPspcSuite extends SparkSpec {
     val idx = SparkPspc.build(spark, g, order)
     TestUtil.assertIndexExact(g, idx)
     assertMatchesThreaded(g, order, idx)
+  }
+
+  test("Spark PSPC rejects an order one slot too short or too long") {
+    val g = GraphGen.path(6)
+    for (order <- Seq(Array(0, 1, 2, 3, 4), Array(0, 1, 2, 3, 4, 5, 6))) {
+      val e = intercept[IllegalArgumentException](SparkPspc.build(spark, g, order))
+      assert(e.getMessage.contains(s"${order.length} slots for a graph of 6 vertices"))
+    }
   }
 }
