@@ -29,7 +29,7 @@ object HpSpc {
       s.processed(order(r)) = true
       r += 1
     }
-    s.toIndex(order)
+    s.toIndex(order, g.weight)
   }
 
   /** Build with the significant-path-based dynamic order of [17]: the next
@@ -50,7 +50,7 @@ object HpSpc {
       if (r < g.n)
         h = VertexOrder.nextSignificantHub(g, h, s.parent, s.des, s.processed)
     }
-    (s.toIndex(order), order)
+    (s.toIndex(order, g.weight), order)
   }
 
   /** One build's state: the labels `(hub, dist, cnt)` grown so far per
@@ -74,8 +74,8 @@ object HpSpc {
       hubs(v) += hub; dists(v) += dist; cnts(v) += cnt
     }
 
-    def toIndex(order: Array[Int]): LabelIndex =
-      LabelIndex.fromArrays(order, hubs.map(_.toArray), dists.map(_.toArray), cnts.map(_.toArray))
+    def toIndex(order: Array[Int], weight: Array[Long]): LabelIndex =
+      LabelIndex.fromArrays(order, hubs.map(_.toArray), dists.map(_.toArray), cnts.map(_.toArray), weight)
   }
 
   /** One pruned BFS sourced at `h`; appends this iteration's labels to

@@ -10,13 +10,16 @@ import repro.order.VertexOrder
   * paths from `v` to `w` (DESIGN.md §2). Entries are sorted by hub rank
   * (highest rank first) so two label lists intersect by merge.
   *
-  * @param order the total order the index was built under (`order(rank) = v`)
+  * @param order  the total order the index was built under (`order(rank) = v`)
+  * @param weight vertex weights of the graph the index was built on, or
+  *               `null` when every weight is 1
   */
 final class LabelIndex(
     val order: Array[Int],
     val hubs: Array[Array[Int]],
     val dists: Array[Array[Int]],
     val cnts: Array[Array[Long]],
+    val weight: Array[Long] = null,
 ) extends Serializable {
 
   val n: Int = hubs.length
@@ -43,7 +46,7 @@ final class LabelIndex(
     * with weight > 1 (equivalence reduction) contribute their weight when
     * they are interior, i.e. when the hub is neither endpoint.
     */
-  def query(s: Int, t: Int, weight: Array[Long] = null): (Int, Long) = {
+  def query(s: Int, t: Int): (Int, Long) = {
     val hs = hubs(s); val ds = dists(s); val cs = cnts(s)
     val ht = hubs(t); val dt = dists(t); val ct = cnts(t)
     var i = 0; var j = 0
@@ -96,12 +99,16 @@ object LabelIndex {
     * Sorts each vertex's `hubs` / `dists` / `cnts` together by hub rank, in
     * place, and throws if a label list holds the same hub twice. This is
     * the one place labels become rank-sorted lists; every builder ends here.
+    *
+    * @param weight the graph's vertex weights; an index whose weights are
+    *               all 1 stores `null`, so its queries skip the lookup
     */
   def fromArrays(
       order: Array[Int],
       hubs: Array[Array[Int]],
       dists: Array[Array[Int]],
       cnts: Array[Array[Long]],
+      weight: Array[Long] = null,
   ): LabelIndex = {
     val rank = VertexOrder.rankOf(order, hubs.length)
     // key = rank(hub) << 32 | position: one primitive sort orders a list by
@@ -136,6 +143,6 @@ object LabelIndex {
       while (i < len) { c(i) = tmpLong(keys(i).toInt); i += 1 }
       v += 1
     }
-    new LabelIndex(order, hubs, dists, cnts)
+    new LabelIndex(order, hubs, dists, cnts, if (weight == null || weight.forall(_ == 1L)) null else weight)
   }
 }

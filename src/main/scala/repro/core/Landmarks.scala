@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.graph.Graph
+import repro.order.VertexOrder
 
 /** Landmark-based filtering (paper §III-H).
   *
@@ -18,9 +19,8 @@ import repro.graph.Graph
   */
 final class Landmarks(g: Graph, val k: Int) extends Serializable {
 
-  /** Landmark vertices, highest degree first. */
-  val vertices: Array[Int] =
-    (0 until g.n).sortBy(v => (-g.deg(v), v)).take(k).toArray
+  /** Landmark vertices: the first `k` of the degree order. */
+  val vertices: Array[Int] = VertexOrder.degreeOrder(g).take(k)
 
   private val landmarkIdx: Array[Int] = {
     val a = Array.fill(g.n)(-1)

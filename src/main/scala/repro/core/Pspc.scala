@@ -33,16 +33,11 @@ object Pspc {
   case object StaticSchedule extends Schedule
   case object DynamicSchedule extends Schedule
 
-  /** Per-phase timing (milliseconds) — the Exp 8 breakdown. */
-  final case class BuildStats(
-      orderMs: Double,
-      llMs: Double,
-      lcMs: Double,
-      rounds: Int,
-      entries: Long,
-  ) {
-    def totalMs: Double = orderMs + llMs + lcMs
-  }
+  /** Phase timings (milliseconds) of one build: landmark labeling (LL) and
+    * label construction (LC), plus the number of distance rounds. The rest
+    * of the build's wall clock is mostly the final `LabelIndex.fromArrays`.
+    */
+  final case class BuildStats(llMs: Double, lcMs: Double, rounds: Int)
 
   /** Per-worker scratch for [[Kernel]]: a dense hub->dist table of L(u)
     * and candidate accumulators, both reset via touch lists, plus the
@@ -151,7 +146,6 @@ object Pspc {
     * @param threads      worker threads (1 = the paper's "PSPC", >1 = "PSPC⁺")
     * @param schedule     static node-order chunks or cost-based dynamic
     * @param numLandmarks 0 disables landmark filtering
-    * @param orderMs      externally measured ordering time, folded into stats
     */
   def build(
       g: Graph,
@@ -159,7 +153,6 @@ object Pspc {
       threads: Int = 1,
       schedule: Schedule = DynamicSchedule,
       numLandmarks: Int = 0,
-      orderMs: Double = 0.0,
   ): (LabelIndex, BuildStats) = {
     val n = g.n
     val rank = VertexOrder.rankOf(order, n)
@@ -243,7 +236,7 @@ object Pspc {
 
     val lcMs = (System.nanoTime() - lcStart) / 1e6
 
-    val idx = LabelIndex.fromArrays(order, kernel.hubs, kernel.dists, kernel.cnts)
-    (idx, BuildStats(orderMs, llMs, lcMs, rounds, idx.entryCount))
+    val idx = LabelIndex.fromArrays(order, kernel.hubs, kernel.dists, kernel.cnts, g.weight)
+    (idx, BuildStats(llMs, lcMs, rounds))
   }
 }

@@ -10,15 +10,9 @@ import repro.graph.Graph
 object QueryEngine {
 
   /** Evaluate a batch with `threads` workers; returns `(dist, cnt)` per
-    * query, aligned with the input. `weight` only matters on
-    * equivalence-reduced graphs (hub multiplicity).
+    * query, aligned with the input.
     */
-  def batch(
-      idx: LabelIndex,
-      queries: Array[(Int, Int)],
-      threads: Int = 1,
-      weight: Array[Long] = null,
-  ): Array[(Int, Long)] = {
+  def batch(idx: LabelIndex, queries: Array[(Int, Int)], threads: Int = 1): Array[(Int, Long)] = {
     val out = new Array[(Int, Long)](queries.length)
     val workers = new Workers(threads)
     try
@@ -26,7 +20,7 @@ object QueryEngine {
         (_, from, until) =>
           var i = from
           while (i < until) {
-            out(i) = idx.query(queries(i)._1, queries(i)._2, weight)
+            out(i) = idx.query(queries(i)._1, queries(i)._2)
             i += 1
           }
       }

@@ -139,7 +139,7 @@ object Reductions {
           (2, c)
         }
       } else {
-        redIdx.query(redId(s), redId(t), reducedGraph.weight)
+        redIdx.query(redId(s), redId(t))
       }
     }
   }

@@ -7,14 +7,17 @@ import repro.order.VertexOrder
 
 /** Shared harness for the paper's experiments (Exp 1–8 + Table III).
   *
-  * Each function returns plain row data; `jobs/` entrypoints and the bench
-  * suites format them. Results per dataset are cached so the Exp 1/2/3
-  * suites reuse one set of builds (the paper also reports one build per
-  * dataset across those figures).
+  * Each function returns plain row data; the bench suites format it. Every
+  * PSPC index time is the build's wall clock, final `LabelIndex` assembly
+  * included. Results per dataset are cached so the Exp 1/2/3 suites reuse
+  * one set of builds (the paper also reports one build per dataset across
+  * those figures).
   */
 object Experiments {
 
-  /** Worker threads for "PSPC⁺" (paper: 20; this container: 16 cores). */
+  /** Worker threads for "PSPC⁺": the paper uses 20; here the machine's
+    * core count, capped at 16.
+    */
   val MaxThreads: Int = math.min(16, Runtime.getRuntime.availableProcessors())
 
   /** Paper default number of landmarks. */
@@ -99,21 +102,30 @@ object Experiments {
   /** Exp 4: index + query time for each thread count on one dataset. */
   final case class SpeedupRow(threads: Int, indexMs: Double, queryUs: Double)
 
+  /** The best of two runs of `body`, to damp one-off GC/JIT pauses. */
+  private def bestOf2(body: => Double): Double = math.min(body, body)
+
+  /** Wall clock of one PSPC build, final `LabelIndex` assembly included. */
+  private def buildMs(
+      g: Graph,
+      order: Array[Int],
+      threads: Int = MaxThreads,
+      schedule: Pspc.Schedule = Pspc.DynamicSchedule,
+      numLandmarks: Int = DefaultLandmarks,
+  ): Double = timeMs(Pspc.build(g, order, threads, schedule, numLandmarks))._2
+
+  /** Best of 2 per thread count; the index does not depend on the thread
+    * count, so one build serves every query row.
+    */
   def speedupSweep(spec: DatasetSpec, threadCounts: Seq[Int], scale: Double = 1.0): Seq[SpeedupRow] = {
     val g = GraphGen.analogue(spec, scale)
     val order = VertexOrder.degreeOrder(g)
     val queries = QueryEngine.randomQueries(g, QueryCount, seed = 11)
+    val idx = Pspc.build(g, order, MaxThreads, numLandmarks = DefaultLandmarks)._1
     threadCounts.map { t =>
-      // best-of-2 to damp one-off GC/JIT pauses in the per-thread rows
-      val runs = (0 until 2).map { _ =>
-        val (idx, stats) = Pspc.build(g, order, threads = t, numLandmarks = DefaultLandmarks)
-        (stats.totalMs, measureQueries(idx, queries, t))
-      }
-      SpeedupRow(t, runs.map(_._1).min, runs.map(_._2).min)
+      SpeedupRow(t, bestOf2(buildMs(g, order, t)), bestOf2(measureQueries(idx, queries, t)))
     }
   }
-
-  private def bestOf2(body: => Double): Double = math.min(body, body)
 
   /** Exp 5(a): landmark labeling on/off at MaxThreads (best of 2 runs each
     * to remove cold-start bias at this scale).
@@ -121,20 +133,14 @@ object Experiments {
   def ablationLandmarks(spec: DatasetSpec, scale: Double = 1.0): (Double, Double) = {
     val g = GraphGen.analogue(spec, scale)
     val order = VertexOrder.degreeOrder(g)
-    val ll = bestOf2(Pspc.build(g, order, MaxThreads, numLandmarks = DefaultLandmarks)._2.totalMs)
-    val nll = bestOf2(Pspc.build(g, order, MaxThreads, numLandmarks = 0)._2.totalMs)
-    (ll, nll)
+    (bestOf2(buildMs(g, order)), bestOf2(buildMs(g, order, numLandmarks = 0)))
   }
 
   /** Exp 5(b): dynamic vs static schedule at MaxThreads (best of 2). */
   def ablationSchedule(spec: DatasetSpec, scale: Double = 1.0): (Double, Double) = {
     val g = GraphGen.analogue(spec, scale)
     val order = VertexOrder.degreeOrder(g)
-    val dyn = bestOf2(Pspc.build(g, order, MaxThreads, schedule = Pspc.DynamicSchedule,
-                                 numLandmarks = DefaultLandmarks)._2.totalMs)
-    val sta = bestOf2(Pspc.build(g, order, MaxThreads, schedule = Pspc.StaticSchedule,
-                                 numLandmarks = DefaultLandmarks)._2.totalMs)
-    (dyn, sta)
+    (bestOf2(buildMs(g, order)), bestOf2(buildMs(g, order, schedule = Pspc.StaticSchedule)))
   }
 
   /** Exp 5(c): node orders (degree / tree-decomposition / hybrid) at
@@ -143,18 +149,16 @@ object Experiments {
   final case class OrderRow(
       order: String,
       orderMs: Double,
-      indexMs: Double, // incl. ordering
-      lcMs: Double,    // label construction only — the term that dominates at paper scale
+      indexMs: Double, // ordering + the build's wall clock
+      lcMs: Double,    // LL + LC only — the term that dominates at paper scale
       sizeMB: Double,
   )
 
   def ablationOrders(g: Graph, delta: Int = 5): Seq[OrderRow] = {
     def run(name: String, mk: => Array[Int]): OrderRow = {
       val (order, oMs) = timeMs(mk)
-      val (_, stats) =
-        Pspc.build(g, order, MaxThreads, numLandmarks = DefaultLandmarks, orderMs = oMs)
-      OrderRow(name, oMs, stats.totalMs, stats.llMs + stats.lcMs,
-               stats.entries * 16L / 1024.0 / 1024.0)
+      val ((idx, stats), ms) = timeMs(Pspc.build(g, order, MaxThreads, numLandmarks = DefaultLandmarks))
+      OrderRow(name, oMs, oMs + ms, stats.llMs + stats.lcMs, idx.sizeMB)
     }
     Seq(
       run("degree", VertexOrder.degreeOrder(g)),
@@ -170,9 +174,8 @@ object Experiments {
     val queries = QueryEngine.randomQueries(g, QueryCount / 2, seed = 13)
     deltas.map { delta =>
       val (order, oMs) = timeMs(VertexOrder.hybridOrder(g, delta))
-      val (idx, stats) =
-        Pspc.build(g, order, MaxThreads, numLandmarks = DefaultLandmarks, orderMs = oMs)
-      DeltaRow(delta, stats.totalMs, idx.sizeMB, measureQueries(idx, queries, 1))
+      val ((idx, _), ms) = timeMs(Pspc.build(g, order, MaxThreads, numLandmarks = DefaultLandmarks))
+      DeltaRow(delta, oMs + ms, idx.sizeMB, measureQueries(idx, queries, 1))
     }
   }
 
@@ -182,20 +185,20 @@ object Experiments {
   def landmarkSweep(spec: DatasetSpec, ks: Seq[Int], scale: Double = 1.0): Seq[LandmarkRow] = {
     val g = GraphGen.analogue(spec, scale)
     val order = VertexOrder.degreeOrder(g)
-    ks.map { k =>
-      LandmarkRow(k, Pspc.build(g, order, MaxThreads, numLandmarks = k)._2.totalMs)
-    }
+    ks.map(k => LandmarkRow(k, buildMs(g, order, numLandmarks = k)))
   }
 
-  /** Exp 8: Order / LL / LC breakdown at MaxThreads. */
-  final case class BreakdownRow(key: String, orderMs: Double, llMs: Double, lcMs: Double)
+  /** Exp 8: Order / LL / LC / materialise breakdown at MaxThreads.
+    * `materialiseMs` is the build's wall clock minus LL and LC, so the four
+    * phases sum to ordering plus the build's wall clock.
+    */
+  final case class BreakdownRow(key: String, orderMs: Double, llMs: Double, lcMs: Double, materialiseMs: Double)
 
   def breakdown(spec: DatasetSpec, scale: Double = 1.0): BreakdownRow = {
     val g = GraphGen.analogue(spec, scale)
     val (order, oMs) = timeMs(VertexOrder.degreeOrder(g))
-    val (_, stats) =
-      Pspc.build(g, order, MaxThreads, numLandmarks = DefaultLandmarks, orderMs = oMs)
-    BreakdownRow(spec.key, stats.orderMs, stats.llMs, stats.lcMs)
+    val ((_, stats), ms) = timeMs(Pspc.build(g, order, MaxThreads, numLandmarks = DefaultLandmarks))
+    BreakdownRow(spec.key, oMs, stats.llMs, stats.lcMs, ms - stats.llMs - stats.lcMs)
   }
 
   /** The road-network stand-in used by Exp 5(c) and Exp 6. */

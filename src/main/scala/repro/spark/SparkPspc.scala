@@ -45,6 +45,6 @@ object SparkPspc {
       added = survivors.nonEmpty
       d += 1
     }
-    LabelIndex.fromArrays(order, kernel.hubs, kernel.dists, kernel.cnts)
+    LabelIndex.fromArrays(order, kernel.hubs, kernel.dists, kernel.cnts, g.weight)
   }
 }

@@ -33,14 +33,18 @@ object TestUtil {
   def randomPowerLaw(seed: Int): Graph =
     GraphGen.chungLu(60 + seed * 7 % 80, 6.0 + seed % 5, 2.3 + 0.05 * (seed % 6), seed)
 
-  /** Assert the index answers every pair exactly like the BFS reference.
-    * `weight` is passed through for equivalence-reduced graphs.
+  /** A path whose interior vertices weigh 2 and 5. Under the degree order
+    * they are the hubs where interior pairs meet, so an index that drops
+    * the weights miscounts those pairs.
     */
-  def assertIndexExact(g: Graph, idx: LabelIndex, weight: Array[Long] = null): Unit = {
+  def weightedPath: Graph = Graph.fromEdges(4, Seq((0, 1), (1, 2), (2, 3)), Array(1L, 2L, 5L, 1L))
+
+  /** Assert the index answers every pair exactly like the BFS reference. */
+  def assertIndexExact(g: Graph, idx: LabelIndex): Unit = {
     val (dist, cnt) = Reference.allPairs(g)
     var bad = List.empty[String]
     for (s <- 0 until g.n; t <- 0 until g.n if bad.size < 5) {
-      val (qd, qc) = idx.query(s, t, weight)
+      val (qd, qc) = idx.query(s, t)
       val ed = dist(s)(t)
       val ec = if (ed < 0) 0L else cnt(s)(t)
       if (qd != ed || qc != ec)

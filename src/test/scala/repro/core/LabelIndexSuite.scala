@@ -89,16 +89,16 @@ class LabelIndexSuite extends AnyFunSuite {
 
   test("hub weight multiplies only when the hub is interior") {
     val order = Array(0, 1, 2)
-    val w = Array(1L, 4L, 1L)
-    val idx = indexOf(order)(
+    val lists = indexOf(order)(
       Seq((0, 0, 1L), (1, 1, 1L)),
       Seq((1, 0, 1L)),
       Seq((1, 1, 1L), (2, 0, 1L)),
     )
+    val idx = new LabelIndex(order, lists.hubs, lists.dists, lists.cnts, Array(1L, 4L, 1L))
     // hub 1 interior between 0 and 2: weight applies
-    assert(idx.query(0, 2, w) == ((2, 4L)))
+    assert(idx.query(0, 2) == ((2, 4L)))
     // hub 1 is an endpoint of (0,1): weight must not apply
-    assert(idx.query(0, 1, w) == ((1, 1L)))
+    assert(idx.query(0, 1) == ((1, 1L)))
   }
 
   test("entryCount and size accounting") {

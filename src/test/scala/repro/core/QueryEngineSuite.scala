@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
+import repro.graph.Reference
 import repro.order.VertexOrder
 
 class QueryEngineSuite extends AnyFunSuite {
@@ -13,6 +14,16 @@ class QueryEngineSuite extends AnyFunSuite {
     val qs = QueryEngine.randomQueries(g, 500, seed = 1)
     val out = QueryEngine.batch(idx, qs, threads = 1)
     qs.zip(out).foreach { case ((s, t), r) => assert(r == idx.query(s, t)) }
+  }
+
+  test("batch answers a weighted path like the reference") {
+    val wg = TestUtil.weightedPath
+    val widx = Pspc.build(wg, VertexOrder.degreeOrder(wg))._1
+    val qs = for (s <- Array.range(0, wg.n); t <- Array.range(0, wg.n)) yield (s, t)
+    val (dist, cnt) = Reference.allPairs(wg)
+    QueryEngine.batch(widx, qs, threads = 2).zip(qs).foreach { case (r, (s, t)) =>
+      assert(r == ((dist(s)(t), cnt(s)(t))), s"pair ($s,$t)")
+    }
   }
 
   for (threads <- Seq(2, 4, 8)) {

@@ -155,7 +155,7 @@ class ReductionsSuite extends AnyFunSuite {
     }
   }
 
-  test("equivalence-reduced graphs build identically on Spark and in memory") {
+  test("equivalence-reduced graphs build the same labels under PSPC and HP-SPC") {
     val g = GraphGen.star(12)
     val eq = new EquivReduction(g)
     val rg = eq.reducedGraph

@@ -55,7 +55,7 @@ class ExperimentsSuite extends AnyFunSuite {
 
   test("breakdown sums to a positive total") {
     val b = Experiments.breakdown(spec, scale = 0.01)
-    assert(b.orderMs >= 0 && b.llMs > 0 && b.lcMs > 0)
+    assert(b.orderMs >= 0 && b.llMs > 0 && b.lcMs > 0 && b.materialiseMs > 0)
   }
 
   test("mdTable renders a well-formed markdown table") {

@@ -2,6 +2,7 @@ package repro.spark
 
 import repro.{SparkSpec, TestUtil}
 import repro.core.{LabelIndex, Pspc}
+import repro.core.Reductions.EquivReduction
 import repro.graph.{Graph, GraphGen}
 import repro.order.VertexOrder
 
@@ -42,10 +43,15 @@ class SparkPspcSuite extends SparkSpec {
   }
 
   test("DataFrame PSPC honours vertex weights") {
-    val g = Graph.fromEdges(5, Seq((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)),
-                            Array(1L, 3L, 1L, 2L, 1L))
-    val order = VertexOrder.degreeOrder(g)
-    assertMatchesThreaded(g, order, SparkPspc.build(spark, g, order))
+    val weighted = Graph.fromEdges(5, Seq((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)),
+                                   Array(1L, 3L, 1L, 2L, 1L))
+    val starReduced = new EquivReduction(GraphGen.star(12)).reducedGraph
+    for (g <- Seq(weighted, TestUtil.weightedPath, starReduced)) {
+      val order = VertexOrder.degreeOrder(g)
+      val idx = SparkPspc.build(spark, g, order)
+      TestUtil.assertIndexExact(g, idx)
+      assertMatchesThreaded(g, order, idx)
+    }
   }
 
   test("DataFrame PSPC handles a disconnected graph") {
