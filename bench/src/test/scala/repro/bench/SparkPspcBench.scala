@@ -29,14 +29,13 @@ class SparkPspcBench extends SparkSpec {
     TestUtil.assertSameLabels(localIdx, coldIdx)
     TestUtil.assertSameLabels(localIdx, sparkIdx)
 
-    // batch queries through the Catalyst dataflow
+    // batch queries: every partition runs LabelIndex.query over the broadcast index
     import spark.implicits._
     val rnd = new scala.util.Random(5)
-    val queries = spark
-      .createDataset(Seq.fill(2000)((rnd.nextInt(g.n), rnd.nextInt(g.n))).distinct)
-      .toDF("s", "t")
-    val (answered, queryMs) =
-      Experiments.timeMs(SparkQueries.evaluate(spark, sparkIdx.toDF(spark), queries).count())
+    val pairs = Seq.fill(2000)((rnd.nextInt(g.n), rnd.nextInt(g.n))).distinct
+    def batch() = SparkQueries.evaluate(spark, sparkIdx, pairs.toDF("s", "t")).collect()
+    val (_, coldQueryMs) = Experiments.timeMs(batch()) // carries Spark SQL's first-query start-up
+    val (rows, queryMs) = Experiments.timeMs(batch())
 
     BenchReport.section("Distributed dataflow (repro band target)") {
       BenchReport.table(
@@ -50,8 +49,13 @@ class SparkPspcBench extends SparkSpec {
         s"\ngraph: |V|=${g.n} |E|=${g.m}; ${stats.rounds} rounds; " +
         s"Spark defaultParallelism=$parallelism, ${Runtime.getRuntime.availableProcessors} cores; " +
         "identical label multisets.\n" +
-        s"Batch of ${answered} SPC queries answered via DataFrame joins in ${f1(queryMs)} ms."
+        s"Batch of ${rows.length} SPC queries answered from the broadcast index: " +
+        s"first batch ${f1(coldQueryMs)} ms, second batch ${f1(queryMs)} ms."
     }
-    assert(answered > 0)
+    for (r <- rows) {
+      val (s, t) = (r.getInt(0), r.getInt(1))
+      assert((r.getInt(2), r.getLong(3)) == sparkIdx.query(s, t), s"($s,$t)")
+    }
+    assert(rows.length == pairs.count { case (s, t) => sparkIdx.query(s, t)._1 >= 0 })
   }
 }

@@ -21,7 +21,6 @@ object SparkBuildJob {
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("pspc-spark-build")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     try {
       val g = GraphGen.largestComponent(GraphGen.chungLu(n, avgDeg, 2.5, seed = 21))
@@ -33,15 +32,19 @@ object SparkBuildJob {
 
       import spark.implicits._
       val rnd = new scala.util.Random(5)
-      val queries = spark
-        .createDataset(Seq.fill(1000)((rnd.nextInt(g.n), rnd.nextInt(g.n))).distinct)
-        .toDF("s", "t")
-      val answered = SparkQueries.evaluate(spark, sparkIdx.toDF(spark), queries).count()
+      val pairs = Seq.fill(1000)((rnd.nextInt(g.n), rnd.nextInt(g.n))).distinct
+      val rows = SparkQueries.evaluate(spark, sparkIdx, pairs.toDF("s", "t")).collect()
+      for (r <- rows) {
+        val (s, t) = (r.getInt(0), r.getInt(1))
+        require((r.getInt(2), r.getLong(3)) == sparkIdx.query(s, t), s"Spark answer for ($s,$t) differs from query")
+      }
+      require(rows.length == pairs.count { case (s, t) => sparkIdx.query(s, t)._1 >= 0 },
+              "Spark must answer every connected pair")
 
       println(f"graph |V|=${g.n} |E|=${g.m}")
       println(f"threaded build (${Experiments.MaxThreads}T): $localMs%.0f ms, entries=${localIdx.entryCount}")
       println(f"Spark build:         $sparkMs%.0f ms, entries=${sparkIdx.entryCount}")
-      println(s"answered $answered batch queries via DataFrame joins")
+      println(s"answered ${rows.length} batch queries from the broadcast index, all equal to query")
     } finally spark.stop()
   }
 }

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.order.VertexOrder
 
 /** A 2-hop Exact-Shortest-Path-Covering label index.
@@ -79,18 +78,6 @@ final class LabelIndex(
   /** Canonical form for equality tests: per-vertex sets of entries. */
   def canonical: IndexedSeq[Set[(Int, Int, Long)]] =
     (0 until n).map(v => labelOf(v).toSet)
-
-  /** Export as a DataFrame `(v, h, d, c)` — the shape `SparkQueries` and
-    * the DuckDB oracle consume.
-    */
-  def toDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    val rows = for {
-      v <- 0 until n
-      i <- hubs(v).indices
-    } yield (v, hubs(v)(i), dists(v)(i), cnts(v)(i))
-    spark.createDataset(rows).toDF("v", "h", "d", "c")
-  }
 }
 
 object LabelIndex {

@@ -67,9 +67,8 @@ final class Graph private (
     out.result()
   }
 
-  /** Both-direction edge DataFrame `(src, dst)` — the shape `fromDataFrame`
-    * and the DuckDB walk-counting oracle consume (each undirected edge
-    * appears twice).
+  /** Both-direction edge DataFrame `(src, dst)` — the shape the DuckDB
+    * walk-counting oracle consumes (each undirected edge appears twice).
     */
   def edgesDF(spark: SparkSession): DataFrame = {
     import spark.implicits._
@@ -160,13 +159,6 @@ object Graph {
     val w = if (weights == null) Array.fill(n)(1L) else weights
     require(w.length == n, "weight array length must equal n")
     new Graph(n, offset, adj, w)
-  }
-
-  /** Build from a both- or single-direction `(src, dst)` DataFrame. */
-  def fromDataFrame(df: DataFrame): Graph = {
-    val rows = df.select("src", "dst").collect()
-    val maxV = rows.iterator.map(r => math.max(r.getInt(0), r.getInt(1))).foldLeft(-1)(math.max)
-    fromEdges(maxV + 1, rows.iterator.map(r => (r.getInt(0), r.getInt(1))).toSeq)
   }
 
   /** The 10-vertex graph of the paper's Fig. 2, reconstructed from its

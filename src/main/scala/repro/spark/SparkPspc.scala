@@ -11,8 +11,7 @@ import repro.order.VertexOrder
   * that kernel, and the driver appends the collected survivors with the
   * kernel's own `append`. The pruning rules are the threaded builder's;
   * there is no second copy of them. Rounds run until one adds no entry.
-  * `LabelIndex.toDF` gives the `(v, h, d, c)` table that `SparkQueries`
-  * reads.
+  * `SparkQueries.evaluate` answers batch queries from the returned index.
   */
 object SparkPspc {
 

@@ -1,53 +1,35 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import repro.core.LabelIndex
 
-/** Batch SPC query evaluation as a Catalyst dataflow (Equations 1–2):
-  * join both endpoints' labels on the common hub, take the minimum summed
-  * distance per pair, and sum the count products at that distance.
+/** Batch SPC query evaluation on Spark. The queries are independent (paper
+  * §IV), so the driver broadcasts the [[LabelIndex]] once and every
+  * partition answers its pairs with `LabelIndex.query`, the one
+  * implementation of Equations 1–2. Vertex weights travel with the index.
   *
-  * The same aggregation expressed in DuckDB SQL is the oracle check
-  * (`SparkQueriesSuite`); pairs with no common hub produce no row on
-  * either side.
+  * The DuckDB recursive walk count (`groundTruthSql`) is the oracle check
+  * of these answers (`SparkQueriesSuite`); it does not depend on
+  * `Reference`.
   */
 object SparkQueries {
 
-  /** @param labels  label DataFrame `(v, h, d, c)`
-    * @param queries query DataFrame `(s, t)`
-    * @return `(s, t, dist, cnt)` — one row per answerable query pair
+  /** @param idx     the label index to answer from
+    * @param queries query DataFrame `(s, t)` of integer vertex ids
+    * @return `(s, t, dist, cnt)` — one row per answerable query pair; a
+    *         pair with no common hub (disconnected) produces no row
     */
-  def evaluate(spark: SparkSession, labels: DataFrame, queries: DataFrame): DataFrame = {
+  def evaluate(spark: SparkSession, idx: LabelIndex, queries: DataFrame): DataFrame = {
     import spark.implicits._
-    val ls = labels.select($"v".as("sv"), $"h".as("sh"), $"d".as("sd"), $"c".as("sc"))
-    val lt = labels.select($"v".as("tv"), $"h".as("th"), $"d".as("td"), $"c".as("tc"))
-    val joined = queries
-      .join(ls, $"s" === $"sv")
-      .join(lt, $"t" === $"tv" && $"sh" === $"th")
-      .select($"s", $"t", ($"sd" + $"td").as("dd"), ($"sc" * $"tc").as("cc"))
-    val mins = joined.groupBy($"s", $"t").agg(min($"dd").as("dist"))
-    joined
-      .join(mins, Seq("s", "t"))
-      .where($"dd" === $"dist")
-      .groupBy($"s", $"t", $"dist")
-      .agg(sum($"cc").as("cnt"))
-      .select($"s", $"t", $"dist", $"cnt")
+    val bc = spark.sparkContext.broadcast(idx)
+    queries.select($"s", $"t").as[(Int, Int)].mapPartitions { pairs =>
+      val ix = bc.value
+      pairs.flatMap { case (s, t) =>
+        val (d, c) = ix.query(s, t)
+        if (d < 0) None else Some((s, t, d, c))
+      }
+    }.toDF("s", "t", "dist", "cnt")
   }
-
-  /** The DuckDB-side SQL equivalent over VARCHAR-typed oracle tables
-    * `labels(v,h,d,c)` and `queries(s,t)` — used with `repro.Oracle`.
-    */
-  val duckDbSql: String =
-    """WITH l AS (SELECT CAST(v AS BIGINT) v, CAST(h AS BIGINT) h,
-      |                 CAST(d AS BIGINT) d, CAST(c AS BIGINT) c FROM labels),
-      |     q AS (SELECT DISTINCT CAST(s AS BIGINT) s, CAST(t AS BIGINT) t FROM queries),
-      |     joined AS (
-      |       SELECT q.s, q.t, a.d + b.d AS dd, a.c * b.c AS cc
-      |       FROM q JOIN l a ON a.v = q.s JOIN l b ON b.v = q.t AND b.h = a.h),
-      |     m AS (SELECT s, t, MIN(dd) AS dist FROM joined GROUP BY s, t)
-      |SELECT m.s AS s, m.t AS t, m.dist AS dist, CAST(SUM(j.cc) AS BIGINT) AS cnt
-      |FROM m JOIN joined j ON j.s = m.s AND j.t = m.t AND j.dd = m.dist
-      |GROUP BY m.s, m.t, m.dist""".stripMargin
 
   /** DuckDB full-SQL ground truth for tiny graphs over an oracle table
     * `edges(src,dst)` (both directions): a recursive CTE enumerates all

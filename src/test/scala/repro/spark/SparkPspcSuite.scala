@@ -18,7 +18,7 @@ class SparkPspcSuite extends SparkSpec {
         TestUtil.assertSameLabels(Pspc.build(g, order, threads = t, schedule = s)._1, dist)
       }
 
-  test("DataFrame PSPC reproduces the paper's Table II on the Fig. 2 graph") {
+  test("Spark PSPC reproduces the paper's Table II on the Fig. 2 graph") {
     val g = Graph.paperExample
     val idx = SparkPspc.build(spark, g, Graph.paperExampleOrder)
     for (v <- 0 until 10)
@@ -26,7 +26,7 @@ class SparkPspcSuite extends SparkSpec {
     assertMatchesThreaded(g, Graph.paperExampleOrder, idx)
   }
 
-  test("DataFrame PSPC equals the threaded PSPC index on random graphs") {
+  test("Spark PSPC equals the threaded PSPC index on random graphs") {
     for (seed <- Seq(0, 1)) {
       val g = TestUtil.randomGraph(seed)
       val order = VertexOrder.degreeOrder(g)
@@ -34,7 +34,7 @@ class SparkPspcSuite extends SparkSpec {
     }
   }
 
-  test("DataFrame PSPC is exact on a power-law graph") {
+  test("Spark PSPC is exact on a power-law graph") {
     val g = GraphGen.chungLu(60, 6.0, 2.4, seed = 4)
     val order = VertexOrder.degreeOrder(g)
     val idx = SparkPspc.build(spark, g, order)
@@ -42,7 +42,7 @@ class SparkPspcSuite extends SparkSpec {
     assertMatchesThreaded(g, order, idx)
   }
 
-  test("DataFrame PSPC honours vertex weights") {
+  test("Spark PSPC honours vertex weights") {
     val weighted = Graph.fromEdges(5, Seq((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)),
                                    Array(1L, 3L, 1L, 2L, 1L))
     val starReduced = new EquivReduction(GraphGen.star(12)).reducedGraph
@@ -54,21 +54,12 @@ class SparkPspcSuite extends SparkSpec {
     }
   }
 
-  test("DataFrame PSPC handles a disconnected graph") {
+  test("Spark PSPC handles a disconnected graph") {
     val g = Graph.fromEdges(6, Seq((0, 1), (1, 2), (3, 4)))
     val order = VertexOrder.degreeOrder(g)
     val idx = SparkPspc.build(spark, g, order)
     TestUtil.assertIndexExact(g, idx)
     assertMatchesThreaded(g, order, idx)
-  }
-
-  test("label DataFrame has the expected schema and row count") {
-    val g = GraphGen.cycle(8)
-    val order = VertexOrder.degreeOrder(g)
-    val df = SparkPspc.build(spark, g, order).toDF(spark)
-    assert(df.columns.toSeq == Seq("v", "h", "d", "c"))
-    val local = Pspc.build(g, order)._1
-    assert(df.count() == local.entryCount)
   }
 
   test("Spark PSPC runs past 64 rounds on a graph of diameter 70") {
