@@ -87,8 +87,10 @@ object LabelIndex {
     * place, and throws if a label list holds the same hub twice. This is
     * the one place labels become rank-sorted lists; every builder ends here.
     *
-    * @param weight the graph's vertex weights; an index whose weights are
-    *               all 1 stores `null`, so its queries skip the lookup
+    * @param weight  the graph's vertex weights; an index whose weights are
+    *                all 1 stores `null`, so its queries skip the lookup
+    * @param workers sorts the vertices' lists in parallel; the default
+    *                single worker sorts them on the calling thread
     */
   def fromArrays(
       order: Array[Int],
@@ -96,40 +98,52 @@ object LabelIndex {
       dists: Array[Array[Int]],
       cnts: Array[Array[Long]],
       weight: Array[Long] = null,
+      workers: Workers = new Workers(1),
   ): LabelIndex = {
     val rank = VertexOrder.rankOf(order, hubs.length)
-    // key = rank(hub) << 32 | position: one primitive sort orders a list by
-    // rank and says where each entry came from
-    var keys = new Array[Long](16)
-    var tmpInt = new Array[Int](16)
-    var tmpLong = new Array[Long](16)
-    var v = 0
-    while (v < hubs.length) {
-      val h = hubs(v); val d = dists(v); val c = cnts(v)
-      val len = h.length
-      if (keys.length < len) {
-        keys = new Array[Long](len); tmpInt = new Array[Int](len); tmpLong = new Array[Long](len)
-      }
-      var i = 0
-      while (i < len) { keys(i) = (rank(h(i)).toLong << 32) | i; i += 1 }
-      java.util.Arrays.sort(keys, 0, len)
-      i = 1
-      while (i < len) {
-        if (keys(i) >>> 32 == keys(i - 1) >>> 32)
-          throw new IllegalArgumentException(s"label list of vertex $v holds hub ${h(keys(i).toInt)} twice")
-        i += 1
-      }
-      System.arraycopy(h, 0, tmpInt, 0, len)
-      i = 0
-      while (i < len) { h(i) = tmpInt(keys(i).toInt); i += 1 }
-      System.arraycopy(d, 0, tmpInt, 0, len)
-      i = 0
-      while (i < len) { d(i) = tmpInt(keys(i).toInt); i += 1 }
-      System.arraycopy(c, 0, tmpLong, 0, len)
-      i = 0
-      while (i < len) { c(i) = tmpLong(keys(i).toInt); i += 1 }
-      v += 1
+    val scratches = Array.fill(workers.count)(new SortScratch)
+    workers.dynamic(hubs.length, 64) { (t, from, until) =>
+      val s = scratches(t)
+      var v = from
+      while (v < until) { sortLabel(v, rank, hubs(v), dists(v), cnts(v), s); v += 1 }
     }
     new LabelIndex(order, hubs, dists, cnts, if (weight == null || weight.forall(_ == 1L)) null else weight)
+  }
+
+  /** Per-worker buffers of `sortLabel`, grown to the longest list seen. */
+  private final class SortScratch {
+    var keys = new Array[Long](16)
+    var ints = new Array[Int](16)
+    var longs = new Array[Long](16)
+  }
+
+  /** Sort one label list by hub rank, in place. */
+  private def sortLabel(
+      v: Int, rank: Array[Int], h: Array[Int], d: Array[Int], c: Array[Long], s: SortScratch): Unit = {
+    val len = h.length
+    if (s.keys.length < len) {
+      s.keys = new Array[Long](len); s.ints = new Array[Int](len); s.longs = new Array[Long](len)
+    }
+    // key = rank(hub) << 32 | position: one primitive sort orders a list by
+    // rank and says where each entry came from
+    val keys = s.keys; val tmpInt = s.ints; val tmpLong = s.longs
+    var i = 0
+    while (i < len) { keys(i) = (rank(h(i)).toLong << 32) | i; i += 1 }
+    java.util.Arrays.sort(keys, 0, len)
+    i = 1
+    while (i < len) {
+      if (keys(i) >>> 32 == keys(i - 1) >>> 32)
+        throw new IllegalArgumentException(s"label list of vertex $v holds hub ${h(keys(i).toInt)} twice")
+      i += 1
+    }
+    System.arraycopy(h, 0, tmpInt, 0, len)
+    i = 0
+    while (i < len) { h(i) = tmpInt(keys(i).toInt); i += 1 }
+    System.arraycopy(d, 0, tmpInt, 0, len)
+    i = 0
+    while (i < len) { d(i) = tmpInt(keys(i).toInt); i += 1 }
+    System.arraycopy(c, 0, tmpLong, 0, len)
+    i = 0
+    while (i < len) { c(i) = tmpLong(keys(i).toInt); i += 1 }
   }
 }

@@ -16,8 +16,11 @@ import repro.order.VertexOrder
   *    candidate stream, which is the paper's motivation;
   *  - other hubs fall through to the label-scan query (a triangle-inequality
   *    sweep over all landmarks costs more than the scan it would replace).
+  *
+  * The `k` BFSs are independent and run on `workers`, one landmark per
+  * task; the default single worker runs them inline.
   */
-final class Landmarks(g: Graph, val k: Int) extends Serializable {
+final class Landmarks(g: Graph, val k: Int, workers: Workers = new Workers(1)) extends Serializable {
 
   /** Landmark vertices: the first `k` of the degree order. */
   val vertices: Array[Int] = VertexOrder.degreeOrder(g).take(k)
@@ -29,7 +32,14 @@ final class Landmarks(g: Graph, val k: Int) extends Serializable {
   }
 
   /** `dist(i)(v)` = exact distance from landmark `i` to `v` (-1 unreachable). */
-  val dist: Array[Array[Int]] = vertices.map(bfsDist)
+  val dist: Array[Array[Int]] = {
+    val d = new Array[Array[Int]](vertices.length)
+    workers.dynamic(vertices.length, 1) { (_, from, until) =>
+      var i = from
+      while (i < until) { d(i) = bfsDist(vertices(i)); i += 1 }
+    }
+    d
+  }
 
   private def bfsDist(s: Int): Array[Int] = {
     val d = Array.fill(g.n)(-1)

@@ -35,7 +35,8 @@ object Pspc {
 
   /** Phase timings (milliseconds) of one build: landmark labeling (LL) and
     * label construction (LC), plus the number of distance rounds. The rest
-    * of the build's wall clock is mostly the final `LabelIndex.fromArrays`.
+    * of the build's wall clock is the final `LabelIndex.fromArrays` sort on
+    * the build's pool, the order check and closing the pool.
     */
   final case class BuildStats(llMs: Double, lcMs: Double, rounds: Int)
 
@@ -156,87 +157,94 @@ object Pspc {
   ): (LabelIndex, BuildStats) = {
     val n = g.n
     val rank = VertexOrder.rankOf(order, n)
-
-    val llStart = System.nanoTime()
-    val landmarks = if (numLandmarks > 0) new Landmarks(g, math.min(numLandmarks, n)) else null
-    val llMs = (System.nanoTime() - llStart) / 1e6
-
-    val lcStart = System.nanoTime()
-
-    val kernel = new Kernel(g, rank, landmarks)
-    val scratches = Array.fill(math.max(1, threads))(new Scratch(n))
-
-    var d = 1
-    var totalNew = 1L
-    var rounds = 0
-    val newHubs = new Array[Array[Int]](n)
-    val newCnts = new Array[Array[Long]](n)
-
-    // task order for this round; cost-sorted when dynamic
-    val taskOrder = new Array[Int](n)
-
+    // one pool for the landmark BFSs, the rounds and the final sort
     val workers = new Workers(threads)
+    try {
+      val llStart = System.nanoTime()
+      val landmarks = if (numLandmarks > 0) new Landmarks(g, math.min(numLandmarks, n), workers) else null
+      val llMs = (System.nanoTime() - llStart) / 1e6
 
-    /** Run `task(threadId, from, until)` over `[0, total)` according to the
-      * schedule: static = contiguous equal chunks, dynamic = atomic grab of
-      * small chunks (tasks pre-sorted by cost by the caller).
-      */
-    def parallelFor(total: Int)(task: (Int, Int, Int) => Unit): Unit = schedule match {
-      case StaticSchedule  => workers.static(total)(task)
-      case DynamicSchedule => workers.dynamic(total, math.max(16, total / (math.max(1, threads) * 16)))(task)
-    }
+      val lcStart = System.nanoTime()
+      val kernel = new Kernel(g, rank, landmarks)
+      val scratches = Array.fill(workers.count)(new Scratch(n))
+      // new entries found by each worker this round
+      val found = new Array[Long](workers.count)
+      val newHubs = new Array[Array[Int]](n)
+      val newCnts = new Array[Array[Long]](n)
+      // task order for this round; cost-sorted when dynamic
+      val taskOrder = new Array[Int](n)
+      val planKeys = new Array[Long](n)
 
-    try while (totalNew > 0) {
-      totalNew = 0L
-      // --- plan the schedule -------------------------------------------
-      if (schedule == DynamicSchedule && threads > 1) {
-        val cost = new Array[Long](n)
-        var u = 0
-        while (u < n) {
+      /** Run `task(threadId, from, until)` over `[0, total)` according to the
+        * schedule: static = contiguous equal chunks, dynamic = atomic grab of
+        * small chunks (tasks pre-sorted by cost by the caller).
+        */
+      def parallelFor(total: Int)(task: (Int, Int, Int) => Unit): Unit = schedule match {
+        case StaticSchedule  => workers.static(total)(task)
+        case DynamicSchedule => workers.dynamic(total, math.max(16, total / (workers.count * 16)))(task)
+      }
+
+      var d = 1
+      var totalNew = 1L
+      var rounds = 0
+      while (totalNew > 0) {
+        // --- plan the schedule -------------------------------------------
+        if (schedule == DynamicSchedule && threads > 1) {
+          // cost = round-(d-1) entries in the neighbourhood; the key
+          // (Int.MaxValue - cost) << 32 | u sorts cost descending, ties by id
+          workers.static(n) { (_, from, until) =>
+            var u = from
+            while (u < until) {
+              var c = 0L
+              g.foreachNbr(u)(v => c += kernel.hubs(v).length - kernel.prevStart(v))
+              planKeys(u) = ((Int.MaxValue - math.min(c, Int.MaxValue)) << 32) | u
+              u += 1
+            }
+          }
+          java.util.Arrays.sort(planKeys)
+          var k = 0
+          while (k < n) { taskOrder(k) = planKeys(k).toInt; k += 1 }
+        } else {
+          // node-order-based static schedule: tasks laid out by rank
+          System.arraycopy(order, 0, taskOrder, 0, n)
+        }
+
+        // --- phase A: compute candidates + prune (parallel, read-only) ----
+        java.util.Arrays.fill(found, 0L)
+        parallelFor(n) { (tid, from, until) =>
+          val s = scratches(tid)
           var c = 0L
-          g.foreachNbr(u)(v => c += (kernel.hubs(v).length - kernel.prevStart(v)).toLong)
-          cost(u) = c
-          u += 1
+          var k = from
+          while (k < until) {
+            val u = taskOrder(k)
+            kernel.pull(u, d, s)
+            if (s.outHubs.len > 0) {
+              newHubs(u) = s.outHubs.toArray; newCnts(u) = s.outCnts.toArray
+              c += s.outHubs.len
+            }
+            k += 1
+          }
+          found(tid) += c
         }
-        val sorted = Array.tabulate(n)(identity).sortBy(u => -cost(u))
-        System.arraycopy(sorted, 0, taskOrder, 0, n)
-      } else {
-        // node-order-based static schedule: tasks laid out by rank
-        System.arraycopy(order, 0, taskOrder, 0, n)
-      }
+        totalNew = found.sum
 
-      // --- phase A: compute candidates + prune (parallel, read-only) ----
-      parallelFor(n) { (tid, from, until) =>
-        val s = scratches(tid)
-        var k = from
-        while (k < until) {
-          val u = taskOrder(k)
-          kernel.pull(u, d, s)
-          if (s.outHubs.len > 0) { newHubs(u) = s.outHubs.toArray; newCnts(u) = s.outCnts.toArray }
-          k += 1
+        // --- phase B: append (parallel, each vertex owned by one thread) --
+        parallelFor(n) { (_, from, until) =>
+          var k = from
+          while (k < until) {
+            val u = taskOrder(k)
+            kernel.append(u, d, newHubs(u), newCnts(u))
+            newHubs(u) = null; newCnts(u) = null
+            k += 1
+          }
         }
+        if (totalNew > 0) rounds += 1
+        d += 1
       }
+      val lcMs = (System.nanoTime() - lcStart) / 1e6
 
-      // --- phase B: append (parallel, each vertex owned by one thread) --
-      parallelFor(n) { (_, from, until) =>
-        var k = from
-        while (k < until) {
-          val u = taskOrder(k)
-          kernel.append(u, d, newHubs(u), newCnts(u))
-          newHubs(u) = null; newCnts(u) = null
-          k += 1
-        }
-      }
-      var u = 0
-      while (u < n) { totalNew += kernel.hubs(u).length - kernel.prevStart(u); u += 1 }
-      if (totalNew > 0) rounds += 1
-      d += 1
-    }
-    finally workers.close()
-
-    val lcMs = (System.nanoTime() - lcStart) / 1e6
-
-    val idx = LabelIndex.fromArrays(order, kernel.hubs, kernel.dists, kernel.cnts, g.weight)
-    (idx, BuildStats(llMs, lcMs, rounds))
+      val idx = LabelIndex.fromArrays(order, kernel.hubs, kernel.dists, kernel.cnts, g.weight, workers)
+      (idx, BuildStats(llMs, lcMs, rounds))
+    } finally workers.close()
   }
 }

@@ -11,6 +11,9 @@ import java.util.concurrent.{Callable, ExecutionException, ExecutorService, Exec
   */
 final class Workers(threads: Int) extends AutoCloseable {
 
+  /** Number of workers: loops hand out worker ids in `0 until count`. */
+  val count: Int = math.max(1, threads)
+
   private val pool: ExecutorService =
     if (threads > 1)
       Executors.newFixedThreadPool(
@@ -21,7 +24,7 @@ final class Workers(threads: Int) extends AutoCloseable {
 
   /** Static schedule: one contiguous, equal chunk per worker. */
   def static(total: Int)(task: (Int, Int, Int) => Unit): Unit = {
-    val per = (total + threads - 1) / math.max(1, threads)
+    val per = (total + count - 1) / count
     run(total, task) { t =>
       val from = math.min(t * per, total)
       task(t, from, math.min(from + per, total))
@@ -46,7 +49,7 @@ final class Workers(threads: Int) extends AutoCloseable {
   private def run(total: Int, task: (Int, Int, Int) => Unit)(worker: Int => Unit): Unit =
     if (pool == null || total == 0) task(0, 0, total)
     else {
-      val futures = (0 until threads).map { t =>
+      val futures = (0 until count).map { t =>
         pool.submit(new Callable[Unit] { def call(): Unit = worker(t) })
       }
       try futures.foreach(_.get())

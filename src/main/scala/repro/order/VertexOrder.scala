@@ -37,8 +37,24 @@ object VertexOrder {
     * order") lists low-rank vertices last; operationally high-degree
     * vertices must be ranked highest, as in pruned landmark labeling.
     */
-  def degreeOrder(g: Graph): Array[Int] =
-    Array.tabulate(g.n)(identity).sortBy(v => (-g.deg(v), v))
+  def degreeOrder(g: Graph): Array[Int] = byDescendingDegree(g, Array.range(0, g.n))
+
+  /** `vs` by descending degree, ties by ascending id: one primitive sort of
+    * `(maxDeg - deg) << 32 | v` keys.
+    */
+  private def byDescendingDegree(g: Graph, vs: Array[Int]): Array[Int] = {
+    var maxDeg = 0
+    var i = 0
+    while (i < vs.length) { maxDeg = math.max(maxDeg, g.deg(vs(i))); i += 1 }
+    val keys = new Array[Long](vs.length)
+    i = 0
+    while (i < vs.length) { keys(i) = ((maxDeg - g.deg(vs(i))).toLong << 32) | vs(i); i += 1 }
+    java.util.Arrays.sort(keys)
+    val out = new Array[Int](vs.length)
+    i = 0
+    while (i < vs.length) { out(i) = keys(i).toInt; i += 1 }
+    out
+  }
 
   /** Tree-decomposition ("road network") order via minimum-degree
     * elimination: repeatedly remove the minimum-degree vertex, clique its
@@ -47,45 +63,111 @@ object VertexOrder {
     * fill-in. The elimination sequence read back-to-front is the rank
     * order (last eliminated = highest rank).
     */
-  def treeDecompOrder(g: Graph): Array[Int] = {
+  def treeDecompOrder(g: Graph): Array[Int] = eliminationOrder(g, Array.fill(g.n)(true))
+
+  /** Minimum-degree elimination of the subgraph induced by `keep`, as a rank
+    * order of its vertices. The next vertex is always the minimum
+    * (current degree, id) among the uneliminated ones.
+    */
+  private def eliminationOrder(g: Graph, keep: Array[Boolean]): Array[Int] = {
     val n = g.n
-    // adjacency as mutable hash sets so fill-in edges can be added
-    val adj = Array.fill(n)(mutable.HashSet.empty[Int])
+    // per-vertex adjacency arrays, the first deg(v) slots live; fill-in
+    // grows them, elimination swap-removes from them
+    val adj = new Array[Array[Int]](n)
+    val deg = new Array[Int](n)
+    val heap = new MinHeap(n)
+    var size = 0
     var v = 0
-    while (v < n) { g.foreachNbr(v)(u => adj(v) += u); v += 1 }
+    while (v < n) {
+      if (keep(v)) {
+        adj(v) = new Array[Int](math.max(4, g.deg(v)))
+        g.foreachNbr(v)(u => if (keep(u)) { adj(v)(deg(v)) = u; deg(v) += 1 })
+        heap.push((deg(v).toLong << 32) | v)
+        size += 1
+      }
+      v += 1
+    }
+    def add(a: Int, b: Int): Unit = {
+      if (deg(a) == adj(a).length) adj(a) = java.util.Arrays.copyOf(adj(a), 2 * deg(a))
+      adj(a)(deg(a)) = b; deg(a) += 1
+    }
     val eliminated = new Array[Boolean](n)
-    val elimSeq = new Array[Int](n)
-    // lazy-deletion priority queue on (degree, id)
-    val pq = mutable.PriorityQueue.empty[(Int, Int)](Ordering.by { case (d, id) => (-d, -id) })
-    for (u <- 0 until n) pq.enqueue((adj(u).size, u))
+    // mark(x) == stamp <=> x is a neighbour of the vertex being filled in
+    val mark = new Array[Int](n)
+    var stamp = 0
+    val elimSeq = new Array[Int](size)
     var k = 0
-    while (k < n) {
+    while (k < size) {
+      // lazy deletion: skip keys of eliminated vertices and stale degrees
       var u = -1
       while (u < 0) {
-        val (d, cand) = pq.dequeue()
-        if (!eliminated(cand) && adj(cand).size == d) u = cand
+        val key = heap.pop()
+        val cand = key.toInt
+        if (!eliminated(cand) && deg(cand) == (key >>> 32).toInt) u = cand
       }
       eliminated(u) = true
-      elimSeq(k) = u; k += 1
-      val nbrs = adj(u).toArray
-      // fill-in: connect every pair of surviving neighbors
+      elimSeq(size - 1 - k) = u; k += 1
+      val nbrs = adj(u); val du = deg(u)
       var i = 0
-      while (i < nbrs.length) {
+      while (i < du) {
         val a = nbrs(i)
-        adj(a) -= u
-        var j = i + 1
-        while (j < nbrs.length) {
+        val la = adj(a)
+        var j = 0
+        while (la(j) != u) j += 1
+        deg(a) -= 1; la(j) = la(deg(a))
+        i += 1
+      }
+      // fill-in: connect every pair of surviving neighbors
+      i = 0
+      while (i < du) {
+        val a = nbrs(i)
+        stamp += 1
+        var j = 0
+        while (j < deg(a)) { mark(adj(a)(j)) = stamp; j += 1 }
+        j = i + 1
+        while (j < du) {
           val b = nbrs(j)
-          if (!adj(a).contains(b)) { adj(a) += b; adj(b) += a }
+          if (mark(b) != stamp) { add(a, b); add(b, a) }
           j += 1
         }
         i += 1
       }
       i = 0
-      while (i < nbrs.length) { pq.enqueue((adj(nbrs(i)).size, nbrs(i))); i += 1 }
-      adj(u).clear()
+      while (i < du) { heap.push((deg(nbrs(i)).toLong << 32) | nbrs(i)); i += 1 }
+      adj(u) = null
     }
-    elimSeq.reverse
+    elimSeq
+  }
+
+  /** Binary min-heap of primitive longs. */
+  private final class MinHeap(initial: Int) {
+    private var a = new Array[Long](math.max(16, initial))
+    private var len = 0
+
+    def push(x: Long): Unit = {
+      if (len == a.length) a = java.util.Arrays.copyOf(a, 2 * len)
+      var i = len; len += 1
+      while (i > 0 && a((i - 1) >>> 1) > x) { a(i) = a((i - 1) >>> 1); i = (i - 1) >>> 1 }
+      a(i) = x
+    }
+
+    def pop(): Long = {
+      val top = a(0)
+      len -= 1
+      val x = a(len)
+      var i = 0
+      var done = len == 0
+      while (!done) {
+        var c = 2 * i + 1
+        if (c >= len) done = true
+        else {
+          if (c + 1 < len && a(c + 1) < a(c)) c += 1
+          if (a(c) < x) { a(i) = a(c); i = c } else done = true
+        }
+      }
+      if (len > 0) a(i) = x
+      top
+    }
   }
 
   /** Hybrid order (paper §III-G): vertices with `deg > delta` form the core,
@@ -94,12 +176,8 @@ object VertexOrder {
     * fringe-induced subgraph.
     */
   def hybridOrder(g: Graph, delta: Int): Array[Int] = {
-    val core = (0 until g.n).filter(g.deg(_) > delta).toArray.sortBy(v => (-g.deg(v), v))
-    val keep = Array.tabulate(g.n)(g.deg(_) <= delta)
-    if (!keep.contains(true)) return core
-    val (fringeG, oldId) = g.inducedSubgraph(keep)
-    val fringeOrder = treeDecompOrder(fringeG).map(oldId)
-    core ++ fringeOrder
+    val fringe = Array.tabulate(g.n)(g.deg(_) <= delta)
+    byDescendingDegree(g, Array.range(0, g.n).filter(!fringe(_))) ++ eliminationOrder(g, fringe)
   }
 
   /** Significant-path-based scheme (from [17], reviewed in §III-G): the

@@ -43,6 +43,20 @@ class LabelIndexSuite extends AnyFunSuite {
     assert(e.getMessage.contains("vertex 0 holds hub 0 twice"))
   }
 
+  test("a label list holding the same hub twice is rejected when sorted on four workers") {
+    // the bad list sits among many good ones, so the pool splits the work
+    val n = 500
+    val order = Array.range(0, n)
+    val hubs = Array.tabulate(n)(v => if (v == 321) Array(0, v, 0) else Array(0, v).distinct)
+    val workers = new Workers(4)
+    val e =
+      try intercept[IllegalArgumentException](
+        LabelIndex.fromArrays(order, hubs, hubs.map(_.map(_ => 1)), hubs.map(_.map(_ => 1L)),
+          workers = workers))
+      finally workers.close()
+    assert(e.getMessage.contains("vertex 321 holds hub 0 twice"))
+  }
+
   test("query reproduces the paper's Example 1: SPC(v10, v7) = 4 at distance 3") {
     val (d, c) = tableIIIndex.query(9, 6)
     assert(d == 3 && c == 4L)

@@ -22,6 +22,16 @@ class LandmarksSuite extends AnyFunSuite {
     }
   }
 
+  test("landmark BFSs on four workers give the same distances as on one") {
+    val g = TestUtil.randomPowerLaw(3)
+    val one = new Landmarks(g, 20)
+    val workers = new Workers(4)
+    val four = try new Landmarks(g, 20, workers) finally workers.close()
+    assert(four.vertices.toSeq == one.vertices.toSeq)
+    for (i <- one.dist.indices)
+      assert(four.dist(i).toSeq == one.dist(i).toSeq, s"landmark ${one.vertices(i)}")
+  }
+
   test("decide never prunes a candidate at its true distance") {
     val g = TestUtil.randomGraph(31)
     val lm = new Landmarks(g, 6)

@@ -122,6 +122,28 @@ class PspcSuite extends AnyFunSuite {
     assert(idx.entryCount == 1L && stats.rounds == 0)
   }
 
+  test("a build that throws in its landmark step leaves no worker thread alive") {
+    // The build thread starts interrupted, so the pool's first barrier, the
+    // landmark BFSs, throws InterruptedException. The pool's threads start
+    // in the build thread's group, which is how the test finds them.
+    val g = GraphGen.roadGrid(60, 60, drop = 0.1, seed = 1)
+    val order = VertexOrder.hybridOrder(g, 4)
+    val group = new ThreadGroup("pspc-build")
+    var thrown: Throwable = null
+    val builder = new Thread(group, () => {
+      Thread.currentThread().interrupt()
+      try Pspc.build(g, order, threads = 4, numLandmarks = 200)
+      catch { case e: Throwable => thrown = e }
+    })
+    builder.start()
+    builder.join(60000)
+    assert(thrown.isInstanceOf[InterruptedException], s"build ended with $thrown")
+    val seen = new Array[Thread](group.activeCount + 8)
+    val alive = seen.take(group.enumerate(seen))
+    alive.foreach(_.join(10000))
+    alive.foreach(t => assert(!t.isAlive, s"worker $t is still alive"))
+  }
+
   test("an order one slot too short or too long is rejected") {
     val g = GraphGen.path(6)
     for (order <- Seq(Array(0, 1, 2, 3, 4), Array(0, 1, 2, 3, 4, 5, 6))) {
