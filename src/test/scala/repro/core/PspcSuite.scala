@@ -89,6 +89,15 @@ class PspcSuite extends AnyFunSuite {
     assert(stats.rounds <= g.diameter)
   }
 
+  test("the round count equals the largest label distance (stop rule)") {
+    val inputs = TestUtil.smallGraphs :+ ("road grid 20x20" -> GraphGen.roadGrid(20, 20, 0.12, 3))
+    for ((name, g) <- inputs; s <- Seq(StaticSchedule, DynamicSchedule); t <- Seq(1, 4)) {
+      val (idx, stats) = Pspc.build(g, VertexOrder.degreeOrder(g), threads = t, schedule = s)
+      val maxDist = idx.dists.iterator.flatMap(_.iterator).max
+      assert(stats.rounds == maxDist, s"$name / $s / $t threads")
+    }
+  }
+
   test("weighted graph: labels honour interior multiplicities") {
     val cycle = Graph.fromEdges(5, Seq((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)),
                                 Array(1L, 3L, 1L, 2L, 1L))
