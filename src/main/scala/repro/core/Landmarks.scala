@@ -36,19 +36,7 @@ final class Landmarks(g: Graph, val k: Int, workers: Workers = new Workers(1)) e
     val d = new Array[Array[Int]](vertices.length)
     workers.dynamic(vertices.length, 1) { (_, from, until) =>
       var i = from
-      while (i < until) { d(i) = bfsDist(vertices(i)); i += 1 }
-    }
-    d
-  }
-
-  private def bfsDist(s: Int): Array[Int] = {
-    val d = Array.fill(g.n)(-1)
-    val queue = new Array[Int](g.n)
-    var head = 0; var tail = 0
-    d(s) = 0; queue(tail) = s; tail += 1
-    while (head < tail) {
-      val u = queue(head); head += 1
-      g.foreachNbr(u)(v => if (d(v) < 0) { d(v) = d(u) + 1; queue(tail) = v; tail += 1 })
+      while (i < until) { d(i) = Array.fill(g.n)(-1); g.bfs(vertices(i), d(i)); i += 1 }
     }
     d
   }

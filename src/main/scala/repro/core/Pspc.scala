@@ -23,9 +23,10 @@ import repro.order.VertexOrder
   * Duplicate candidates merge by summing counts (Label Merging); the
   * surviving merged count is exactly the trough-path count.
   *
-  * One class, [[Pspc.Kernel]], holds these rules; the threaded `build` here
-  * and the Spark build (`repro.spark.SparkPspc`) both run their rounds
-  * through it.
+  * One class, [[Pspc.Kernel]], holds these rules and the round protocol,
+  * and one function, [[Pspc.pipeline]], runs every step of a build around
+  * a round's pulls. The threaded `build` here and the Spark build
+  * (`repro.spark.SparkPspc`) pass it only their pull phase.
   */
 object Pspc {
 
@@ -52,23 +53,31 @@ object Pspc {
     val outCnts: LongBuf = new LongBuf(8)
   }
 
+  /** Where a round's pull phase hands over vertex `u`'s survivors
+    * `(hubs, cnts)`. They become `u`'s entries once the round's last pull
+    * is done.
+    */
+  type Stage = (Int, Array[Int], Array[Long]) => Unit
+
   /** The label arrays of one build, starting at L_0 (every vertex its own
-    * hub), and the round kernel over them. Every builder runs its rounds
-    * through this class: the threaded loop in `build` below, and
-    * `repro.spark.SparkPspc`, which broadcasts it as the frozen snapshot.
-    * Within a round only `pull` runs, and it reads the arrays and writes
-    * nothing but the caller's [[Scratch]]; `append` is the one mutation
-    * and runs after every vertex of the round is done.
+    * hub), and the round kernel over them. Within a round only `pull`
+    * runs; it reads the arrays and writes nothing but the caller's
+    * [[Scratch]]. The arrays change only in `rounds`, after every pull of
+    * a round is done, so a copy of the kernel (the Spark build broadcasts
+    * one per round) is the frozen snapshot `L_{<=d-1}`.
     *
     * @param landmarks landmark filter, or `null` for none
     */
-  final class Kernel(g: Graph, rank: Array[Int], landmarks: Landmarks) extends Serializable {
+  final class Kernel private[Pspc] (g: Graph, rank: Array[Int], landmarks: Landmarks) extends Serializable {
     val n: Int = g.n
-    val hubs: Array[Array[Int]] = Array.tabulate(n)(v => Array(v))
-    val dists: Array[Array[Int]] = Array.fill(n)(Array(0))
-    val cnts: Array[Array[Long]] = Array.fill(n)(Array(1L))
+    private val hubs: Array[Array[Int]] = Array.tabulate(n)(v => Array(v))
+    private val dists: Array[Array[Int]] = Array.fill(n)(Array(0))
+    private val cnts: Array[Array[Long]] = Array.fill(n)(Array(1L))
     /** Round-(d-1) entries of v live at indices [prevStart(v), hubs(v).length). */
-    val prevStart: Array[Int] = new Array[Int](n)
+    private val prevStart: Array[Int] = new Array[Int](n)
+
+    /** Number of `v`'s entries from the last finished round. */
+    def lastRoundSize(v: Int): Int = hubs(v).length - prevStart(v)
 
     /** Pull the distance-`d` candidates of `u` from its neighbours'
       * round-(d-1) entries (rank rule, Label Elimination, Label Merging),
@@ -119,10 +128,10 @@ object Pspc {
       while (i < hu.length) { s.tmpDist(hu(i)) = -1; i += 1 }
     }
 
-    /** Append `u`'s round-`d` survivors (`null` for none) and make them its
-      * round-`d` entries. Call it for every vertex once the round is done.
+    /** Append `u`'s round-`d` survivors (`null` for none), make them its
+      * round-`d` entries and return how many there are.
       */
-    def append(u: Int, d: Int, nh: Array[Int], nc: Array[Long]): Unit =
+    private def append(u: Int, d: Int, nh: Array[Int], nc: Array[Long]): Int =
       if (nh != null && nh.length > 0) {
         val oldLen = hubs(u).length
         val h2 = java.util.Arrays.copyOf(hubs(u), oldLen + nh.length)
@@ -133,7 +142,72 @@ object Pspc {
         System.arraycopy(nc, 0, c2, oldLen, nh.length)
         hubs(u) = h2; dists(u) = d2; cnts(u) = c2
         prevStart(u) = oldLen
-      } else prevStart(u) = hubs(u).length
+        nh.length
+      } else { prevStart(u) = hubs(u).length; 0 }
+
+    /** The round protocol (paper §III). Round `d = 1, 2, …` runs
+      * `pullRound(d, stage)`, which pulls every vertex against the frozen
+      * `L_{<=d-1}` and stages the survivors; then the survivors are appended
+      * on `workers`. Rounds stop at the first one that adds nothing.
+      *
+      * @return the number of rounds that added entries
+      */
+    private[Pspc] def rounds(workers: Workers)(pullRound: (Int, Stage) => Unit): Int = {
+      val newHubs = new Array[Array[Int]](n)
+      val newCnts = new Array[Array[Long]](n)
+      val stage: Stage = (u, h, c) => { newHubs(u) = h; newCnts(u) = c }
+      // entries appended by each worker this round
+      val added = new Array[Long](workers.count)
+      val chunk = math.max(16, n / (workers.count * 16))
+      def round(d: Int): Long = {
+        pullRound(d, stage)
+        java.util.Arrays.fill(added, 0L)
+        workers.dynamic(n, chunk) { (t, from, until) =>
+          var c = 0L
+          var u = from
+          while (u < until) {
+            c += append(u, d, newHubs(u), newCnts(u))
+            newHubs(u) = null; newCnts(u) = null
+            u += 1
+          }
+          added(t) += c
+        }
+        added.sum
+      }
+      var d = 1
+      while (round(d) > 0) d += 1
+      d - 1
+    }
+
+    /** The finished labels, sorted by hub rank on `workers`. */
+    private[Pspc] def index(order: Array[Int], workers: Workers): LabelIndex =
+      LabelIndex.fromArrays(order, hubs, dists, cnts, g.weight, workers)
+  }
+
+  /** The PSPC build pipeline every builder shares. It checks `order`, opens
+    * one [[Workers]] pool of `threads` that runs every phase and closes it
+    * in `finally`, builds the landmark filter (the LL clock), runs the
+    * round protocol of [[Kernel]] (the LC clock) and sorts the labels into
+    * a [[LabelIndex]]. A builder passes only its pull phase: `pullPhase`
+    * gets the pool and the kernel once and returns the function that runs
+    * round `d`'s pulls and stages their survivors.
+    */
+  private[repro] def pipeline(g: Graph, order: Array[Int], threads: Int, numLandmarks: Int)(
+      pullPhase: (Workers, Kernel) => (Int, Stage) => Unit): (LabelIndex, BuildStats) = {
+    val rank = VertexOrder.rankOf(order, g.n)
+    val workers = new Workers(threads)
+    try {
+      val llStart = System.nanoTime()
+      val landmarks = if (numLandmarks > 0) new Landmarks(g, math.min(numLandmarks, g.n), workers) else null
+      val llMs = (System.nanoTime() - llStart) / 1e6
+
+      val lcStart = System.nanoTime()
+      val kernel = new Kernel(g, rank, landmarks)
+      val rounds = kernel.rounds(workers)(pullPhase(workers, kernel))
+      val lcMs = (System.nanoTime() - lcStart) / 1e6
+
+      (kernel.index(order, workers), BuildStats(llMs, lcMs, rounds))
+    } finally workers.close()
   }
 
   /** Build the PSPC index. Every round pulls: each vertex reads its
@@ -154,97 +228,47 @@ object Pspc {
       threads: Int = 1,
       schedule: Schedule = DynamicSchedule,
       numLandmarks: Int = 0,
-  ): (LabelIndex, BuildStats) = {
+  ): (LabelIndex, BuildStats) = pipeline(g, order, threads, numLandmarks) { (workers, kernel) =>
     val n = g.n
-    val rank = VertexOrder.rankOf(order, n)
-    // one pool for the landmark BFSs, the rounds and the final sort
-    val workers = new Workers(threads)
-    try {
-      val llStart = System.nanoTime()
-      val landmarks = if (numLandmarks > 0) new Landmarks(g, math.min(numLandmarks, n), workers) else null
-      val llMs = (System.nanoTime() - llStart) / 1e6
+    val scratches = Array.fill(workers.count)(new Scratch(n))
+    val plan = schedule == DynamicSchedule && workers.count > 1
+    // task order of a round: by rank, or re-sorted by cost each round
+    val taskOrder = if (plan) new Array[Int](n) else order
+    val planKeys = if (plan) new Array[Long](n) else null
 
-      val lcStart = System.nanoTime()
-      val kernel = new Kernel(g, rank, landmarks)
-      val scratches = Array.fill(workers.count)(new Scratch(n))
-      // new entries found by each worker this round
-      val found = new Array[Long](workers.count)
-      val newHubs = new Array[Array[Int]](n)
-      val newCnts = new Array[Array[Long]](n)
-      // task order for this round; cost-sorted when dynamic
-      val taskOrder = new Array[Int](n)
-      val planKeys = new Array[Long](n)
-
-      /** Run `task(threadId, from, until)` over `[0, total)` according to the
-        * schedule: static = contiguous equal chunks, dynamic = atomic grab of
-        * small chunks (tasks pre-sorted by cost by the caller).
-        */
-      def parallelFor(total: Int)(task: (Int, Int, Int) => Unit): Unit = schedule match {
-        case StaticSchedule  => workers.static(total)(task)
-        case DynamicSchedule => workers.dynamic(total, math.max(16, total / (workers.count * 16)))(task)
+    (d, stage) => {
+      if (plan) {
+        // cost = round-(d-1) entries in the neighbourhood; the key
+        // (Int.MaxValue - cost) << 32 | u sorts cost descending, ties by id
+        workers.static(n) { (_, from, until) =>
+          var u = from
+          while (u < until) {
+            var c = 0L
+            g.foreachNbr(u)(v => c += kernel.lastRoundSize(v))
+            planKeys(u) = ((Int.MaxValue - math.min(c, Int.MaxValue)) << 32) | u
+            u += 1
+          }
+        }
+        java.util.Arrays.sort(planKeys)
+        var k = 0
+        while (k < n) { taskOrder(k) = planKeys(k).toInt; k += 1 }
       }
-
-      var d = 1
-      var totalNew = 1L
-      var rounds = 0
-      while (totalNew > 0) {
-        // --- plan the schedule -------------------------------------------
-        if (schedule == DynamicSchedule && threads > 1) {
-          // cost = round-(d-1) entries in the neighbourhood; the key
-          // (Int.MaxValue - cost) << 32 | u sorts cost descending, ties by id
-          workers.static(n) { (_, from, until) =>
-            var u = from
-            while (u < until) {
-              var c = 0L
-              g.foreachNbr(u)(v => c += kernel.hubs(v).length - kernel.prevStart(v))
-              planKeys(u) = ((Int.MaxValue - math.min(c, Int.MaxValue)) << 32) | u
-              u += 1
-            }
-          }
-          java.util.Arrays.sort(planKeys)
-          var k = 0
-          while (k < n) { taskOrder(k) = planKeys(k).toInt; k += 1 }
-        } else {
-          // node-order-based static schedule: tasks laid out by rank
-          System.arraycopy(order, 0, taskOrder, 0, n)
+      val pulls = (tid: Int, from: Int, until: Int) => {
+        val s = scratches(tid)
+        var k = from
+        while (k < until) {
+          val u = taskOrder(k)
+          kernel.pull(u, d, s)
+          if (s.outHubs.len > 0) stage(u, s.outHubs.toArray, s.outCnts.toArray)
+          k += 1
         }
-
-        // --- phase A: compute candidates + prune (parallel, read-only) ----
-        java.util.Arrays.fill(found, 0L)
-        parallelFor(n) { (tid, from, until) =>
-          val s = scratches(tid)
-          var c = 0L
-          var k = from
-          while (k < until) {
-            val u = taskOrder(k)
-            kernel.pull(u, d, s)
-            if (s.outHubs.len > 0) {
-              newHubs(u) = s.outHubs.toArray; newCnts(u) = s.outCnts.toArray
-              c += s.outHubs.len
-            }
-            k += 1
-          }
-          found(tid) += c
-        }
-        totalNew = found.sum
-
-        // --- phase B: append (parallel, each vertex owned by one thread) --
-        parallelFor(n) { (_, from, until) =>
-          var k = from
-          while (k < until) {
-            val u = taskOrder(k)
-            kernel.append(u, d, newHubs(u), newCnts(u))
-            newHubs(u) = null; newCnts(u) = null
-            k += 1
-          }
-        }
-        if (totalNew > 0) rounds += 1
-        d += 1
       }
-      val lcMs = (System.nanoTime() - lcStart) / 1e6
-
-      val idx = LabelIndex.fromArrays(order, kernel.hubs, kernel.dists, kernel.cnts, g.weight, workers)
-      (idx, BuildStats(llMs, lcMs, rounds))
-    } finally workers.close()
+      // static = contiguous equal chunks in rank order; dynamic = atomic
+      // grab of small chunks of the cost-sorted tasks
+      schedule match {
+        case StaticSchedule  => workers.static(n)(pulls)
+        case DynamicSchedule => workers.dynamic(n, math.max(16, n / (workers.count * 16)))(pulls)
+      }
+    }
   }
 }

@@ -1,7 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-
 /** Compact undirected, unweighted graph in CSR form.
   *
   * Vertices are `0 until n`. Parallel edges and self-loops are dropped at
@@ -67,43 +65,32 @@ final class Graph private (
     out.result()
   }
 
-  /** Both-direction edge DataFrame `(src, dst)` — the shape the DuckDB
-    * walk-counting oracle consumes (each undirected edge appears twice).
+  /** Breadth-first search from `s` over the vertices whose `dist` is still
+    * -1: sets `dist(v)` to the hop distance from `s` of every such vertex it
+    * reaches, and returns how many it reached (`s` included). Vertices with
+    * `dist >= 0` count as visited, so one array can carry several searches.
     */
-  def edgesDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    val both = new Array[(Int, Int)](2 * m)
-    var i = 0
-    var u = 0
-    while (u < n) {
-      foreachNbr(u) { v => both(i) = (u, v); i += 1 }
-      u += 1
+  def bfs(s: Int, dist: Array[Int]): Int = {
+    val queue = new Array[Int](n)
+    var head = 0; var tail = 0
+    dist(s) = 0; queue(tail) = s; tail += 1
+    while (head < tail) {
+      val u = queue(head); head += 1
+      foreachNbr(u)(v => if (dist(v) < 0) { dist(v) = dist(u) + 1; queue(tail) = v; tail += 1 })
     }
-    spark.createDataset(both.toIndexedSeq).toDF("src", "dst")
+    tail
   }
 
   /** Exact eccentricity-based diameter of the largest component — O(n·m),
     * only for small graphs (tests / bench setup).
     */
   def diameter: Int = {
-    var best = 0
     val dist = new Array[Int](n)
-    val queue = new Array[Int](n)
-    var s = 0
-    while (s < n) {
+    (0 until n).foldLeft(0) { (best, s) =>
       java.util.Arrays.fill(dist, -1)
-      var head = 0; var tail = 0
-      dist(s) = 0; queue(tail) = s; tail += 1
-      while (head < tail) {
-        val u = queue(head); head += 1
-        if (dist(u) > best) best = dist(u)
-        foreachNbr(u) { v =>
-          if (dist(v) < 0) { dist(v) = dist(u) + 1; queue(tail) = v; tail += 1 }
-        }
-      }
-      s += 1
+      bfs(s, dist)
+      math.max(best, dist.max)
     }
-    best
   }
 
   /** Induced subgraph on `keep` (true = kept); returns the subgraph and the

@@ -131,28 +131,16 @@ object GraphGen {
 
   /** Restrict to the largest connected component (relabelled compactly). */
   def largestComponent(g: Graph): Graph = {
-    val comp = new Array[Int](g.n)
-    java.util.Arrays.fill(comp, -1)
-    var nComp = 0
-    val queue = new Array[Int](g.n)
-    var v = 0
-    while (v < g.n) {
-      if (comp(v) < 0) {
-        var head = 0; var tail = 0
-        comp(v) = nComp; queue(tail) = v; tail += 1
-        while (head < tail) {
-          val u = queue(head); head += 1
-          g.foreachNbr(u)(x => if (comp(x) < 0) { comp(x) = nComp; queue(tail) = x; tail += 1 })
-        }
-        nComp += 1
-      }
-      v += 1
+    // one search per component; the first largest one (by lowest vertex) wins
+    val seen = Array.fill(g.n)(-1)
+    var root = 0; var best = 0
+    for (v <- 0 until g.n if seen(v) < 0) {
+      val size = g.bfs(v, seen)
+      if (size > best) { best = size; root = v }
     }
-    val sizes = new Array[Int](nComp)
-    comp.foreach(c => sizes(c) += 1)
-    val big = sizes.indices.maxBy(sizes)
-    val keep = Array.tabulate(g.n)(comp(_) == big)
-    g.inducedSubgraph(keep)._1
+    val dist = Array.fill(g.n)(-1)
+    g.bfs(root, dist)
+    g.inducedSubgraph(dist.map(_ >= 0))._1
   }
 
   /** One synthetic analogue of a paper dataset (DESIGN.md §5). */
