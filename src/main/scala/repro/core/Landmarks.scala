@@ -11,9 +11,10 @@ import repro.order.VertexOrder
   * without scanning label lists:
   *
   *  - if the candidate hub `w` *is* a landmark, `dis(w,u)` is known exactly,
-  *    so the prune test `dis(w,u) < d` is exact and O(1) — and because the
-  *    order ranks high-degree vertices first, landmark hubs dominate the
-  *    candidate stream, which is the paper's motivation;
+  *    so the prune test `dis(w,u) < d` is exact and O(1). With 100
+  *    landmarks this decides 296,925 of the 4,213,607 candidates (7 %) of
+  *    `pspcbench`'s `social` build and 692,402 of 1,678,199 (41 %) of its
+  *    `road` build (seed 1);
   *  - other hubs fall through to the label-scan query (a triangle-inequality
   *    sweep over all landmarks costs more than the scan it would replace).
   *
@@ -43,10 +44,10 @@ final class Landmarks(g: Graph, val k: Int, workers: Workers = new Workers(1)) e
 
   /** Decide the candidate `(w, u, d)` using landmark information only.
     *
-    * Only the O(1) landmark-hub fast path is used: because the vertex
-    * order ranks high-degree vertices first, hubs that are landmarks
-    * dominate the candidate stream (the paper's §III-H observation), and
-    * their prune test is exact. Scanning all landmarks by triangle
+    * Only the O(1) landmark-hub fast path is used, and its prune test is
+    * exact. It decides the candidates whose hub is a landmark: 7 % of
+    * them on `pspcbench`'s `social` build and 41 % on `road` (100
+    * landmarks; see the class doc). Scanning all landmarks by triangle
     * inequality for the remaining hubs costs more than the label scan it
     * replaces, so undecided candidates fall through.
     *

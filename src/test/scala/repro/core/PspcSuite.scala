@@ -21,6 +21,20 @@ class PspcSuite extends AnyFunSuite {
       val order = VertexOrder.degreeOrder(g)
       TestUtil.assertSameLabels(HpSpc.build(g, order), Pspc.build(g, order)._1)
     }
+    // Without landmarks every prune goes through the query rule, whose scan
+    // stops at prevStart(w). Only a label-for-label check can see a missed
+    // prune: the extra entry's distance is too large to win a query.
+    val road = GraphGen.roadGrid(20, 20, 0.12, 3)
+    val pl = TestUtil.randomPowerLaw(3)
+    val er = TestUtil.randomGraph(5)
+    val inputs = Seq(
+      ("road grid 20x20, hybrid order", road, VertexOrder.hybridOrder(road, 4)),
+      ("power-law seed=3, tree-decomposition order", pl, VertexOrder.treeDecompOrder(pl)),
+      ("random graph seed=5, shuffled order", er, new scala.util.Random(5).shuffle((0 until er.n).toVector).toArray),
+    )
+    for ((name, g, order) <- inputs; t <- Seq(1, 4)) withClue(s"$name, $t threads: ") {
+      TestUtil.assertSameLabels(HpSpc.build(g, order), Pspc.build(g, order, threads = t, numLandmarks = 0)._1)
+    }
   }
 
   for ((name, g) <- TestUtil.smallGraphs) {
