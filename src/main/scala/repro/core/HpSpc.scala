@@ -19,6 +19,8 @@ object HpSpc {
 
   /** Build the ESPC index under a fixed total order, a permutation of
     * `0 until g.n`.
+    *
+    * @throws ArithmeticException if a label's path count exceeds a `Long`
     */
   def build(g: Graph, order: Array[Int]): LabelIndex = {
     VertexOrder.rankOf(order, g.n) // reject a malformed order before any BFS
@@ -108,7 +110,7 @@ object HpSpc {
       while (head < levelEnd) {
         val u = queue(head); head += 1
         if (!pruned(u)) {
-          val cu = if (u == h) cnt(u) else cnt(u) * g.weight(u)
+          val cu = if (u == h) cnt(u) else Counts.mul(cnt(u), g.weight(u))
           g.foreachNbr(u) { v =>
             if (!processed(v) && v != h) {
               if (dist(v) < 0) {
@@ -118,7 +120,7 @@ object HpSpc {
                 pruned(v) = false
                 queue(tail) = v; tail += 1
               } else if (dist(v) == d) {
-                cnt(v) += cu
+                cnt(v) = Counts.add(cnt(v), cu)
               }
             }
           }
@@ -138,6 +140,7 @@ object HpSpc {
           j += 1
         }
         if (q < d) pruned(u) = true
+        else if (cnt(u) == Counts.Overflow) throw Counts.overflow(u, h)
         else addLabel(u, h, d, cnt(u))
         k += 1
       }

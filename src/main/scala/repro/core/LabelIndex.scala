@@ -44,6 +44,8 @@ final class LabelIndex(
     * rank-sorted label lists (Equations 1–2 of the paper). Hub vertices
     * with weight > 1 (equivalence reduction) contribute their weight when
     * they are interior, i.e. when the hub is neither endpoint.
+    *
+    * @throws ArithmeticException if the count exceeds a `Long`
     */
   def query(s: Int, t: Int): (Int, Long) = {
     val hs = hubs(s); val ds = dists(s); val cs = cnts(s)
@@ -62,12 +64,13 @@ final class LabelIndex(
         if (d == bestD) {
           val h = hs(i)
           val w = if (weight != null && h != s && h != t) weight(h) else 1L
-          bestC += cs(i) * ct(j) * w
+          bestC = Counts.add(bestC, Counts.mul(Counts.mul(cs(i), ct(j)), w))
         }
         i += 1; j += 1
       } else if (ri < rj) i += 1
       else j += 1
     }
+    if (bestC == Counts.Overflow) throw new ArithmeticException(s"the path count of ($s, $t) exceeds a Long")
     if (bestD == Int.MaxValue) (-1, 0L) else (bestD, bestC)
   }
 

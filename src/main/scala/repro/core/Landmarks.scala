@@ -19,12 +19,18 @@ import repro.order.VertexOrder
   *    sweep over all landmarks costs more than the scan it would replace).
   *
   * The `k` BFSs are independent and run on `workers`, one landmark per
-  * task; the default single worker runs them inline.
+  * task; the default single worker runs them inline. The distances are
+  * stored vertex-major, one row of `k` per vertex, so `n * k` must fit one
+  * array; a larger table fails the constructor.
   */
 final class Landmarks(g: Graph, val k: Int, workers: Workers = new Workers(1)) extends Serializable {
+  require(g.n.toLong * math.min(k, g.n) <= Int.MaxValue - 8,
+    s"a landmark table of ${g.n} vertices x $k landmarks does not fit one array")
 
   /** Landmark vertices: the first `k` of the degree order. */
   val vertices: Array[Int] = VertexOrder.degreeOrder(g).take(k)
+
+  private val width: Int = vertices.length
 
   private val landmarkIdx: Array[Int] = {
     val a = Array.fill(g.n)(-1)
@@ -32,15 +38,35 @@ final class Landmarks(g: Graph, val k: Int, workers: Workers = new Workers(1)) e
     a
   }
 
-  /** `dist(i)(v)` = exact distance from landmark `i` to `v` (-1 unreachable). */
-  val dist: Array[Array[Int]] = {
-    val d = new Array[Array[Int]](vertices.length)
-    workers.dynamic(vertices.length, 1) { (_, from, until) =>
+  /** Distances, vertex-major: `table(v * width + i)` is the exact distance
+    * from landmark `i` to `v` (-1 unreachable), so the lookups of one pull
+    * share one row. The BFSs fill one array per landmark, which is then
+    * transposed on `workers`.
+    */
+  private val table: Array[Int] = {
+    val n = g.n
+    val byLandmark = new Array[Array[Int]](width)
+    workers.dynamic(width, 1) { (_, from, until) =>
       var i = from
-      while (i < until) { d(i) = Array.fill(g.n)(-1); g.bfs(vertices(i), d(i)); i += 1 }
+      while (i < until) { byLandmark(i) = Array.fill(n)(-1); g.bfs(vertices(i), byLandmark(i)); i += 1 }
     }
-    d
+    val t = new Array[Int](n * width)
+    workers.dynamic(n, 1024) { (_, from, until) =>
+      var i = 0
+      while (i < width) {
+        val a = byLandmark(i)
+        var v = from
+        while (v < until) { t(v * width + i) = a(v); v += 1 }
+        i += 1
+      }
+    }
+    t
   }
+
+  /** Exact distance from landmark `i` (the vertex `vertices(i)`) to `v`,
+    * or -1 if `v` is unreachable from it.
+    */
+  def dist(i: Int, v: Int): Int = table(v * width + i)
 
   /** Decide the candidate `(w, u, d)` using landmark information only.
     *
@@ -57,7 +83,7 @@ final class Landmarks(g: Graph, val k: Int, workers: Workers = new Workers(1)) e
   @inline def decide(w: Int, u: Int, d: Int): Int = {
     val wi = landmarkIdx(w)
     if (wi >= 0) {
-      val dw = dist(wi)(u)
+      val dw = table(u * width + wi)
       if (dw >= 0 && dw < d) 1 else 0
     } else -1
   }

@@ -9,7 +9,9 @@ import repro.order.VertexOrder
   * `d` derives every distance-`d` entry from the frozen snapshot
   * `L_{<=d-1}` via neighbor label propagation (Definition 8), so all
   * vertices inside a round are independent — no cross-thread dependency,
-  * unlike the HP-SPC baseline.
+  * unlike the HP-SPC baseline. A round pulls only its frontier, the
+  * neighbours of the vertices that gained entries in the round before: no
+  * other vertex has a candidate (DESIGN.md §2).
   *
   * Per-candidate pruning for `(w, u, d)` pulled from `Σ_{v∈N(u)} L_{d-1}(v)`:
   *  1. rank rule (Lemma 3): drop unless `rank(w)` is strictly higher than
@@ -23,7 +25,9 @@ import repro.order.VertexOrder
   *     `dis(u,x) + dis(x,w) < d`. It scans only `w`'s entries at distances
   *     1..d-2, the only ones that can satisfy it (DESIGN.md §2).
   * Duplicate candidates merge by summing counts (Label Merging); the
-  * surviving merged count is exactly the trough-path count.
+  * surviving merged count is exactly the trough-path count. A survivor's
+  * count beyond a `Long` fails the build and names the vertex and the hub
+  * ([[Counts]]).
   *
   * One class, [[Pspc.Kernel]], holds these rules and the round protocol,
   * and one function, [[Pspc.pipeline]], runs every step of a build around
@@ -38,8 +42,9 @@ object Pspc {
 
   /** Phase timings (milliseconds) of one build: landmark labeling (LL) and
     * label construction (LC), plus the number of distance rounds. The rest
-    * of the build's wall clock is the final `LabelIndex.fromArrays` sort on
-    * the build's pool, the order check and closing the pool.
+    * of the build's wall clock is materialisation (trimming the label lists
+    * to their length and the final `LabelIndex.fromArrays` sort, both on
+    * the build's pool), the order check and closing the pool.
     */
   final case class BuildStats(llMs: Double, lcMs: Double, rounds: Int)
 
@@ -57,54 +62,87 @@ object Pspc {
 
   /** Where a round's pull phase hands over vertex `u`'s survivors
     * `(hubs, cnts)`. They become `u`'s entries once the round's last pull
-    * is done.
+    * is done. `u` must be in the round's [[Frontier]]; empty survivors
+    * stage nothing.
     */
   type Stage = (Int, Array[Int], Array[Long]) => Unit
 
-  /** The label arrays of one build, starting at L_0 (every vertex its own
+  /** The vertices one round pulls, `apply(0 until size)`, in no particular
+    * order. `cost(i)` is the plan cost of `apply(i)`: the number of
+    * last-round entries in its neighbourhood, which its pull reads.
+    */
+  final class Frontier private[Pspc] (n: Int) {
+    private[Pspc] val vertices: Array[Int] = new Array[Int](n)
+    private[Pspc] val costs: Array[Long] = new Array[Long](n)
+    private[Pspc] var count: Int = 0
+
+    def size: Int = count
+    def apply(i: Int): Int = vertices(i)
+    def cost(i: Int): Long = costs(i)
+    def toArray: Array[Int] = java.util.Arrays.copyOf(vertices, count)
+  }
+
+  /** One round's pull phase: `(d, frontier, stage)` pulls every vertex of
+    * `frontier` against the frozen `L_{<=d-1}` and stages the survivors.
+    */
+  type PullRound = (Int, Frontier, Stage) => Unit
+
+  /** The label lists of one build, starting at L_0 (every vertex its own
     * hub), and the round kernel over them. Within a round only `pull`
-    * runs; it reads the arrays and writes nothing but the caller's
-    * [[Scratch]]. The arrays change only in `rounds`, after every pull of
+    * runs; it reads the lists and writes nothing but the caller's
+    * [[Scratch]]. The lists change only in `rounds`, after every pull of
     * a round is done, so a copy of the kernel (the Spark build broadcasts
     * one per round) is the frozen snapshot `L_{<=d-1}`.
+    *
+    * Vertex `v`'s entries are `hubs(v)`, `dists(v)` and `cnts(v)` at
+    * indices `[0, len(v))`. The arrays' capacity doubles when a round
+    * outgrows it, so a round copies no list that has room; `index` trims
+    * them to `len(v)`, and serialisation writes only `[0, len(v))`.
     *
     * @param landmarks landmark filter, or `null` for none
     */
   final class Kernel private[Pspc] (g: Graph, rank: Array[Int], landmarks: Landmarks) extends Serializable {
     val n: Int = g.n
-    private val hubs: Array[Array[Int]] = Array.tabulate(n)(v => Array(v))
-    private val dists: Array[Array[Int]] = Array.fill(n)(Array(0))
-    private val cnts: Array[Array[Long]] = Array.fill(n)(Array(1L))
-    /** Round-(d-1) entries of v live at indices [prevStart(v), hubs(v).length).
+    @transient private var hubs: Array[Array[Int]] = Array.tabulate(n)(v => Array(v))
+    @transient private var dists: Array[Array[Int]] = Array.fill(n)(Array(0))
+    @transient private var cnts: Array[Array[Long]] = Array.fill(n)(Array(1L))
+    /** Number of live entries of each list. */
+    private val len: Array[Int] = Array.fill(n)(1)
+    /** Round-(d-1) entries of v live at indices [prevStart(v), len(v)).
       * Each list is in ascending distance with `v` itself at index 0, so
       * [1, prevStart(v)) holds exactly its entries at distances 1..d-2: the
       * query rule in `pull` scans only that range and depends on this order.
+      * `rounds` closes a block (`prevStart(v) = len(v)`) one round after it
+      * was appended, so outside the last round's changed vertices the block
+      * is empty.
       */
     private val prevStart: Array[Int] = new Array[Int](n)
 
     /** Number of `v`'s entries from the last finished round. */
-    def lastRoundSize(v: Int): Int = hubs(v).length - prevStart(v)
+    def lastRoundSize(v: Int): Int = len(v) - prevStart(v)
 
     /** Pull the distance-`d` candidates of `u` from its neighbours'
       * round-(d-1) entries (rank rule, Label Elimination, Label Merging),
       * prune them (landmark filter, query rule), and leave the survivors in
       * `s.outHubs` / `s.outCnts`.
+      *
+      * @throws ArithmeticException if a survivor's count exceeds a `Long`
       */
     def pull(u: Int, d: Int, s: Scratch): Unit = {
       val ru = rank(u)
-      val hu = hubs(u); val du = dists(u)
+      val hu = hubs(u); val du = dists(u); val lu = len(u)
       var i = 0
-      while (i < hu.length) { s.tmpDist(hu(i)) = du(i); i += 1 }
+      while (i < lu) { s.tmpDist(hu(i)) = du(i); i += 1 }
       s.candList.clear(); s.outHubs.clear(); s.outCnts.clear()
       g.foreachNbr(u) { v =>
-        val hv = hubs(v); val cv = cnts(v)
+        val hv = hubs(v); val cv = cnts(v); val lv = len(v)
         var j = prevStart(v)
-        while (j < hv.length) {
+        while (j < lv) {
           val w = hv(j)
           if (rank(w) < ru && s.tmpDist(w) < 0) {
             val mult = if (w == v) 1L else g.weight(v)
             if (s.candCnt(w) == 0L) s.candList += w
-            s.candCnt(w) += cv(j) * mult
+            s.candCnt(w) = Counts.add(s.candCnt(w), Counts.mul(cv(j), mult))
           }
           j += 1
         }
@@ -131,69 +169,164 @@ object Pspc {
             j += 1
           }
         }
-        if (verdict == 0) { s.outHubs += w; s.outCnts += c }
+        if (verdict == 0) {
+          if (c == Counts.Overflow) throw Counts.overflow(u, w)
+          s.outHubs += w; s.outCnts += c
+        }
         k += 1
       }
       i = 0
-      while (i < hu.length) { s.tmpDist(hu(i)) = -1; i += 1 }
+      while (i < lu) { s.tmpDist(hu(i)) = -1; i += 1 }
     }
 
-    /** Append `u`'s round-`d` survivors (`null` for none), make them its
-      * round-`d` entries and return how many there are. Appending round by
+    /** Append `u`'s round-`d` survivors and make them its round-`d` block.
+      * The arrays double when they run out of room. Appending round by
       * round keeps each list in ascending distance with `u` at index 0,
       * which `prevStart` and the query rule in `pull` depend on.
       */
-    private def append(u: Int, d: Int, nh: Array[Int], nc: Array[Long]): Int =
-      if (nh != null && nh.length > 0) {
-        val oldLen = hubs(u).length
-        val h2 = java.util.Arrays.copyOf(hubs(u), oldLen + nh.length)
-        val d2 = java.util.Arrays.copyOf(dists(u), oldLen + nh.length)
-        val c2 = java.util.Arrays.copyOf(cnts(u), oldLen + nh.length)
-        System.arraycopy(nh, 0, h2, oldLen, nh.length)
-        java.util.Arrays.fill(d2, oldLen, oldLen + nh.length, d)
-        System.arraycopy(nc, 0, c2, oldLen, nh.length)
-        hubs(u) = h2; dists(u) = d2; cnts(u) = c2
-        prevStart(u) = oldLen
-        nh.length
-      } else { prevStart(u) = hubs(u).length; 0 }
+    private def append(u: Int, d: Int, nh: Array[Int], nc: Array[Long]): Unit = {
+      val old = len(u)
+      val need = old + nh.length
+      if (need > hubs(u).length) {
+        val cap = math.max(need, 2 * hubs(u).length)
+        hubs(u) = java.util.Arrays.copyOf(hubs(u), cap)
+        dists(u) = java.util.Arrays.copyOf(dists(u), cap)
+        cnts(u) = java.util.Arrays.copyOf(cnts(u), cap)
+      }
+      System.arraycopy(nh, 0, hubs(u), old, nh.length)
+      java.util.Arrays.fill(dists(u), old, need, d)
+      System.arraycopy(nc, 0, cnts(u), old, nh.length)
+      prevStart(u) = old
+      len(u) = need
+    }
 
-    /** The round protocol (paper §III). Round `d = 1, 2, …` runs
-      * `pullRound(d, stage)`, which pulls every vertex against the frozen
-      * `L_{<=d-1}` and stages the survivors; then the survivors are appended
-      * on `workers`. Rounds stop at the first one that adds nothing.
+    /** The round protocol (paper §III). Round `d = 1, 2, …`:
+      *  1. one pass over the neighbours of the vertices that gained entries
+      *     in round `d-1` (every vertex before round 1) builds the frontier
+      *     and sums each frontier vertex's cost;
+      *  2. `pullRound(d, frontier, stage)` pulls the frontier against the
+      *     frozen `L_{<=d-1}` and stages the survivors;
+      *  3. the round-(d-1) blocks are closed, and the staged vertices, the
+      *     round's changed vertices, get their survivors appended on
+      *     `workers`.
+      * Rounds stop at the first one that changes no vertex.
       *
       * @return the number of rounds that added entries
       */
-    private[Pspc] def rounds(workers: Workers)(pullRound: (Int, Stage) => Unit): Int = {
+    private[Pspc] def rounds(workers: Workers)(pullRound: PullRound): Int = {
       val newHubs = new Array[Array[Int]](n)
       val newCnts = new Array[Array[Long]](n)
-      val stage: Stage = (u, h, c) => { newHubs(u) = h; newCnts(u) = c }
-      // entries appended by each worker this round
-      val added = new Array[Long](workers.count)
-      val chunk = math.max(16, n / (workers.count * 16))
-      def round(d: Int): Long = {
-        pullRound(d, stage)
-        java.util.Arrays.fill(added, 0L)
-        workers.dynamic(n, chunk) { (t, from, until) =>
-          var c = 0L
-          var u = from
-          while (u < until) {
-            c += append(u, d, newHubs(u), newCnts(u))
-            newHubs(u) = null; newCnts(u) = null
-            u += 1
+      val stage: Stage = (u, h, c) => if (h.length > 0) { newHubs(u) = h; newCnts(u) = c }
+      val frontier = new Frontier(n)
+      // position of a vertex in the frontier being built, -1 outside it
+      val pos = Array.fill(n)(-1)
+      // the vertices that gained entries in the last round
+      val changed = Array.range(0, n)
+      var nChanged = n
+
+      def buildFrontier(): Unit = {
+        val fv = frontier.vertices; val fc = frontier.costs
+        var f = 0
+        var i = 0
+        while (i < nChanged) {
+          val v = changed(i)
+          val size = lastRoundSize(v)
+          g.foreachNbr(v) { u =>
+            var p = pos(u)
+            if (p < 0) { p = f; pos(u) = p; fv(p) = u; fc(p) = 0L; f += 1 }
+            fc(p) += size
           }
-          added(t) += c
+          i += 1
         }
-        added.sum
+        frontier.count = f
+        i = 0
+        while (i < f) { pos(fv(i)) = -1; i += 1 }
+      }
+
+      def round(d: Int): Int = {
+        buildFrontier()
+        val f = frontier.count
+        if (f == 0) return 0
+        pullRound(d, frontier, stage)
+        var i = 0
+        while (i < nChanged) { val v = changed(i); prevStart(v) = len(v); i += 1 }
+        nChanged = 0
+        i = 0
+        while (i < f) {
+          val u = frontier.vertices(i)
+          if (newHubs(u) != null) { changed(nChanged) = u; nChanged += 1 }
+          i += 1
+        }
+        workers.dynamic(nChanged, math.max(16, nChanged / (workers.count * 16))) { (_, from, until) =>
+          var k = from
+          while (k < until) {
+            val u = changed(k)
+            append(u, d, newHubs(u), newCnts(u))
+            newHubs(u) = null; newCnts(u) = null
+            k += 1
+          }
+        }
+        nChanged
       }
       var d = 1
       while (round(d) > 0) d += 1
       d - 1
     }
 
-    /** The finished labels, sorted by hub rank on `workers`. */
-    private[Pspc] def index(order: Array[Int], workers: Workers): LabelIndex =
+    /** The finished labels, trimmed to their length and sorted by hub rank
+      * on `workers`.
+      */
+    private[Pspc] def index(order: Array[Int], workers: Workers): LabelIndex = {
+      workers.dynamic(n, 256) { (_, from, until) =>
+        var v = from
+        while (v < until) {
+          if (hubs(v).length != len(v)) {
+            hubs(v) = java.util.Arrays.copyOf(hubs(v), len(v))
+            dists(v) = java.util.Arrays.copyOf(dists(v), len(v))
+            cnts(v) = java.util.Arrays.copyOf(cnts(v), len(v))
+          }
+          v += 1
+        }
+      }
       LabelIndex.fromArrays(order, hubs, dists, cnts, g.weight, workers)
+    }
+
+    /** The lists' live prefixes, flattened: the spare capacity of a list is
+      * never written.
+      */
+    private def writeObject(out: java.io.ObjectOutputStream): Unit = {
+      out.defaultWriteObject()
+      val total = len.iterator.map(_.toLong).sum
+      require(total <= Int.MaxValue, s"a kernel of $total entries does not fit one array")
+      val fh = new Array[Int](total.toInt); val fd = new Array[Int](total.toInt)
+      val fc = new Array[Long](total.toInt)
+      var at = 0
+      var v = 0
+      while (v < n) {
+        System.arraycopy(hubs(v), 0, fh, at, len(v))
+        System.arraycopy(dists(v), 0, fd, at, len(v))
+        System.arraycopy(cnts(v), 0, fc, at, len(v))
+        at += len(v); v += 1
+      }
+      out.writeObject(fh); out.writeObject(fd); out.writeObject(fc)
+    }
+
+    private def readObject(in: java.io.ObjectInputStream): Unit = {
+      in.defaultReadObject()
+      val fh = in.readObject().asInstanceOf[Array[Int]]
+      val fd = in.readObject().asInstanceOf[Array[Int]]
+      val fc = in.readObject().asInstanceOf[Array[Long]]
+      hubs = new Array[Array[Int]](n); dists = new Array[Array[Int]](n); cnts = new Array[Array[Long]](n)
+      var at = 0
+      var v = 0
+      while (v < n) {
+        val end = at + len(v)
+        hubs(v) = java.util.Arrays.copyOfRange(fh, at, end)
+        dists(v) = java.util.Arrays.copyOfRange(fd, at, end)
+        cnts(v) = java.util.Arrays.copyOfRange(fc, at, end)
+        at = end; v += 1
+      }
+    }
   }
 
   /** The PSPC build pipeline every builder shares. It checks `order`, opens
@@ -202,10 +335,10 @@ object Pspc {
     * round protocol of [[Kernel]] (the LC clock) and sorts the labels into
     * a [[LabelIndex]]. A builder passes only its pull phase: `pullPhase`
     * gets the pool and the kernel once and returns the function that runs
-    * round `d`'s pulls and stages their survivors.
+    * round `d`'s pulls over its frontier and stages their survivors.
     */
   private[repro] def pipeline(g: Graph, order: Array[Int], threads: Int, numLandmarks: Int)(
-      pullPhase: (Workers, Kernel) => (Int, Stage) => Unit): (LabelIndex, BuildStats) = {
+      pullPhase: (Workers, Kernel) => PullRound): (LabelIndex, BuildStats) = {
     val rank = VertexOrder.rankOf(order, g.n)
     val workers = new Workers(threads)
     try {
@@ -222,48 +355,43 @@ object Pspc {
     } finally workers.close()
   }
 
-  /** Build the PSPC index. Every round pulls: each vertex reads its
-    * neighbours' round-(d-1) entries from the frozen snapshot and writes
-    * only its own new entries. The paper's push propagation is not
-    * implemented (DESIGN.md §1 gives the measurements).
-    *
-    * @param g            input graph (weights honoured for reduced graphs)
-    * @param order        total order, `order(rank) = vertex`; must be a
-    *                     permutation of `0 until g.n`
-    * @param threads      worker threads (1 = the paper's "PSPC", >1 = "PSPC⁺")
-    * @param schedule     static node-order chunks or cost-based dynamic
-    * @param numLandmarks 0 disables landmark filtering
+  /** The threaded pull phase of `build`: each round pulls the frontier on
+    * the pool. The static schedule splits the frontier, in rank order, into
+    * one equal chunk per worker. The dynamic schedule on more than one
+    * worker sorts the frontier by cost, largest first, and workers grab
+    * small chunks of it; on one worker it pulls the frontier in vertex-id
+    * order, which on road-like graphs keeps consecutive pulls on nearby
+    * label arrays (DESIGN.md §3).
     */
-  def build(
-      g: Graph,
-      order: Array[Int],
-      threads: Int = 1,
-      schedule: Schedule = DynamicSchedule,
-      numLandmarks: Int = 0,
-  ): (LabelIndex, BuildStats) = pipeline(g, order, threads, numLandmarks) { (workers, kernel) =>
+  private[repro] def threadedPulls(g: Graph, order: Array[Int], schedule: Schedule)(
+      workers: Workers, kernel: Kernel): PullRound = {
     val n = g.n
     val scratches = Array.fill(workers.count)(new Scratch(n))
     val plan = schedule == DynamicSchedule && workers.count > 1
-    // task order of a round: by rank, or re-sorted by cost each round
-    val taskOrder = if (plan) new Array[Int](n) else order
+    val rank = if (schedule == StaticSchedule) VertexOrder.rankOf(order, n) else null
+    val taskOrder = new Array[Int](n)
     val planKeys = if (plan) new Array[Long](n) else null
 
-    (d, stage) => {
+    (d, frontier, stage) => {
+      val f = frontier.size
+      var k = 0
       if (plan) {
-        // cost = round-(d-1) entries in the neighbourhood; the key
-        // (Int.MaxValue - cost) << 32 | u sorts cost descending, ties by id
-        workers.static(n) { (_, from, until) =>
-          var u = from
-          while (u < until) {
-            var c = 0L
-            g.foreachNbr(u)(v => c += kernel.lastRoundSize(v))
-            planKeys(u) = ((Int.MaxValue - math.min(c, Int.MaxValue)) << 32) | u
-            u += 1
-          }
+        // the key (Int.MaxValue - cost) << 32 | u sorts cost descending, ties by id
+        while (k < f) {
+          planKeys(k) = ((Int.MaxValue - math.min(frontier.cost(k), Int.MaxValue)) << 32) | frontier(k)
+          k += 1
         }
-        java.util.Arrays.sort(planKeys)
-        var k = 0
-        while (k < n) { taskOrder(k) = planKeys(k).toInt; k += 1 }
+        java.util.Arrays.sort(planKeys, 0, f)
+        k = 0
+        while (k < f) { taskOrder(k) = planKeys(k).toInt; k += 1 }
+      } else if (rank != null) {
+        while (k < f) { taskOrder(k) = rank(frontier(k)); k += 1 }
+        java.util.Arrays.sort(taskOrder, 0, f)
+        k = 0
+        while (k < f) { taskOrder(k) = order(taskOrder(k)); k += 1 }
+      } else {
+        while (k < f) { taskOrder(k) = frontier(k); k += 1 }
+        java.util.Arrays.sort(taskOrder, 0, f)
       }
       val pulls = (tid: Int, from: Int, until: Int) => {
         val s = scratches(tid)
@@ -275,12 +403,32 @@ object Pspc {
           k += 1
         }
       }
-      // static = contiguous equal chunks in rank order; dynamic = atomic
-      // grab of small chunks of the cost-sorted tasks
       schedule match {
-        case StaticSchedule  => workers.static(n)(pulls)
-        case DynamicSchedule => workers.dynamic(n, math.max(16, n / (workers.count * 16)))(pulls)
+        case StaticSchedule  => workers.static(f)(pulls)
+        case DynamicSchedule => workers.dynamic(f, math.max(16, f / (workers.count * 16)))(pulls)
       }
     }
   }
+
+  /** Build the PSPC index. Every round pulls: each frontier vertex reads
+    * its neighbours' round-(d-1) entries from the frozen snapshot and
+    * writes only its own new entries. The paper's push propagation is not
+    * implemented (DESIGN.md §1 gives the measurements).
+    *
+    * @param g            input graph (weights honoured for reduced graphs)
+    * @param order        total order, `order(rank) = vertex`; must be a
+    *                     permutation of `0 until g.n`
+    * @param threads      worker threads (1 = the paper's "PSPC", >1 = "PSPC⁺")
+    * @param schedule     static node-order chunks or cost-based dynamic
+    * @param numLandmarks 0 disables landmark filtering
+    * @throws ArithmeticException if a label's path count exceeds a `Long`
+    */
+  def build(
+      g: Graph,
+      order: Array[Int],
+      threads: Int = 1,
+      schedule: Schedule = DynamicSchedule,
+      numLandmarks: Int = 0,
+  ): (LabelIndex, BuildStats) =
+    pipeline(g, order, threads, numLandmarks)(threadedPulls(g, order, schedule))
 }

@@ -10,21 +10,22 @@ import scala.collection.mutable
   */
 object Reference {
 
-  /** Single-source BFS distances and shortest-path counts.
+  /** Single-source BFS distances and exact shortest-path counts.
     *
     * Counts honour vertex weights for *interior* vertices: a path's count
     * contribution is the product of `g.weight` over its interior vertices
     * (1 on unweighted graphs). This is exactly the multiplicity semantics
-    * of the neighborhood-equivalence reduction (DESIGN.md §3).
+    * of the neighborhood-equivalence reduction (DESIGN.md §3). Counts are
+    * `BigInt`, so they cannot wrap the way a `Long` count of an index can.
     *
     * @return `(dist, cnt)`; `dist(v) = -1` and `cnt(v) = 0` for unreachable `v`
     */
-  def bfsSpc(g: Graph, s: Int): (Array[Int], Array[Long]) = {
+  def bfsSpcExact(g: Graph, s: Int): (Array[Int], Array[BigInt]) = {
     val dist = Array.fill(g.n)(-1)
-    val cnt = new Array[Long](g.n)
+    val cnt = Array.fill(g.n)(BigInt(0))
     val queue = new Array[Int](g.n)
     var head = 0; var tail = 0
-    dist(s) = 0; cnt(s) = 1L
+    dist(s) = 0; cnt(s) = BigInt(1)
     queue(tail) = s; tail += 1
     while (head < tail) {
       val u = queue(head); head += 1
@@ -40,6 +41,15 @@ object Reference {
       }
     }
     (dist, cnt)
+  }
+
+  /** [[bfsSpcExact]] with `Long` counts.
+    *
+    * @throws ArithmeticException if a count exceeds a `Long`
+    */
+  def bfsSpc(g: Graph, s: Int): (Array[Int], Array[Long]) = {
+    val (dist, cnt) = bfsSpcExact(g, s)
+    (dist, cnt.map(_.bigInteger.longValueExact))
   }
 
   /** All-pairs `(dist, spc)` as a dense matrix pair — small graphs only. */

@@ -3,24 +3,25 @@ package repro.spark
 import org.apache.spark.sql.SparkSession
 import repro.core.{LabelIndex, Pspc}
 import repro.graph.Graph
+import scala.collection.immutable.ArraySeq
 
 /** PSPC as a Spark job. Round `d` reads only the frozen snapshot
   * `L_{<=d-1}` (paper §III), so this build's pull phase broadcasts the
-  * [[Pspc.Kernel]], pulls every partition's share of the vertices through
-  * it, and stages the collected survivors on the driver. Everything else,
-  * the order check, the round protocol and the final sort, is the threaded
-  * builder's `Pspc.pipeline`; there is no second copy of it or of the
-  * pruning rules. `SparkQueries.evaluate` answers batch queries from the
-  * returned index.
+  * [[Pspc.Kernel]], pulls every partition's share of the round's frontier
+  * through it, and stages the collected survivors on the driver.
+  * Everything else, the order check, the round protocol with its frontier
+  * and the final sort, is the threaded builder's `Pspc.pipeline`; there is
+  * no second copy of it or of the pruning rules. `SparkQueries.evaluate`
+  * answers batch queries from the returned index.
   */
 object SparkPspc {
 
   /** Build the index of `g` under `order` on `spark` (no landmark filter). */
   def build(spark: SparkSession, g: Graph, order: Array[Int]): LabelIndex = {
     val sc = spark.sparkContext
-    Pspc.pipeline(g, order, threads = 1, numLandmarks = 0) { (_, kernel) => (d, stage) =>
+    Pspc.pipeline(g, order, threads = 1, numLandmarks = 0) { (_, kernel) => (d, frontier, stage) =>
       val snapshot = sc.broadcast(kernel)
-      try sc.parallelize(0 until g.n, sc.defaultParallelism).mapPartitions { us =>
+      try sc.parallelize(ArraySeq.unsafeWrapArray(frontier.toArray), sc.defaultParallelism).mapPartitions { us =>
         val k = snapshot.value
         val s = new Pspc.Scratch(k.n)
         us.flatMap { u =>

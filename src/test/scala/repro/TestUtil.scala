@@ -39,6 +39,28 @@ object TestUtil {
     */
   def weightedPath: Graph = Graph.fromEdges(4, Seq((0, 1), (1, 2), (2, 3)), Array(1L, 2L, 5L, 1L))
 
+  /** A disjoint union of `path(30)` (vertices 0..29), a 10x10 grid
+    * (30..129) and an isolated vertex (130). Its components finish in
+    * different rounds, and the isolated vertex is in no round's frontier.
+    */
+  def componentUnion: Graph = {
+    val path = (0 until 29).map(i => (i, i + 1))
+    def cell(r: Int, c: Int) = 30 + r * 10 + c
+    val grid = for (r <- 0 until 10; c <- 0 until 10; (dr, dc) <- Seq((0, 1), (1, 0)) if r + dr < 10 && c + dc < 10)
+      yield (cell(r, c), cell(r + dr, c + dc))
+    Graph.fromEdges(131, path ++ grid)
+  }
+
+  /** `k` diamonds in a row: vertex `3i` joins vertex `3(i+1)` through the
+    * two middle vertices `3i+1` and `3i+2`, so the end-to-end shortest-path
+    * count is `2^k` at distance `2k`.
+    */
+  def diamondChain(k: Int): Graph =
+    Graph.fromEdges(3 * k + 1, (0 until k).flatMap { i =>
+      val a = 3 * i; val z = 3 * (i + 1)
+      Seq((a, a + 1), (a, a + 2), (a + 1, z), (a + 2, z))
+    })
+
   /** Assert the index answers every pair exactly like the BFS reference. */
   def assertIndexExact(g: Graph, idx: LabelIndex): Unit = {
     val (dist, cnt) = Reference.allPairs(g)

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.graph.{GraphGen, Reference}
+import repro.graph.{Graph, GraphGen, Reference}
 
 class LandmarksSuite extends AnyFunSuite {
 
@@ -18,7 +18,7 @@ class LandmarksSuite extends AnyFunSuite {
     val lm = new Landmarks(g, 4)
     for ((l, i) <- lm.vertices.zipWithIndex) {
       val (d, _) = Reference.bfsSpc(g, l)
-      assert(lm.dist(i).toSeq == d.toSeq, s"landmark $l")
+      assert((0 until g.n).map(lm.dist(i, _)) == d.toSeq, s"landmark $l")
     }
   }
 
@@ -28,8 +28,8 @@ class LandmarksSuite extends AnyFunSuite {
     val workers = new Workers(4)
     val four = try new Landmarks(g, 20, workers) finally workers.close()
     assert(four.vertices.toSeq == one.vertices.toSeq)
-    for (i <- one.dist.indices)
-      assert(four.dist(i).toSeq == one.dist(i).toSeq, s"landmark ${one.vertices(i)}")
+    for (i <- one.vertices.indices; v <- 0 until g.n)
+      assert(four.dist(i, v) == one.dist(i, v), s"landmark ${one.vertices(i)}, vertex $v")
   }
 
   test("decide never prunes a candidate at its true distance") {
@@ -53,13 +53,18 @@ class LandmarksSuite extends AnyFunSuite {
   }
 
   test("undecided candidates are reported as -1, never a wrong keep") {
+    // every hub that is not a landmark is undecided, at every distance
     val g = GraphGen.cycle(12)
     val lm = new Landmarks(g, 1)
-    val (dist, _) = Reference.allPairs(g)
-    for (w <- 0 until g.n; u <- 0 until g.n if dist(w)(u) > 0 && !lm.vertices.contains(w)) {
-      val v = lm.decide(w, u, dist(w)(u))
-      assert(v == -1 || v != 1)
-    }
+    for (w <- 0 until g.n if !lm.vertices.contains(w); u <- 0 until g.n; d <- 1 to g.diameter + 1)
+      assert(lm.decide(w, u, d) == -1, s"($w,$u) at distance $d")
+  }
+
+  test("a distance table too large for one array fails the constructor") {
+    // 46,341^2 > Int.MaxValue; the check runs before any BFS or table
+    val g = Graph.fromEdges(46341, Nil)
+    val e = intercept[IllegalArgumentException](new Landmarks(g, g.n))
+    assert(e.getMessage.contains("does not fit one array"))
   }
 
   test("k larger than n is tolerated") {

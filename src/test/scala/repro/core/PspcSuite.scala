@@ -1,9 +1,11 @@
 package repro.core
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.graph.{Graph, GraphGen}
 import repro.order.VertexOrder
+import scala.collection.mutable
 
 class PspcSuite extends AnyFunSuite {
   import Pspc._
@@ -24,17 +26,84 @@ class PspcSuite extends AnyFunSuite {
     // Without landmarks every prune goes through the query rule, whose scan
     // stops at prevStart(w). Only a label-for-label check can see a missed
     // prune: the extra entry's distance is too large to win a query.
+    // The union's components finish in different rounds, so its last rounds
+    // pull one component while the blocks of the others must stay closed.
     val road = GraphGen.roadGrid(20, 20, 0.12, 3)
     val pl = TestUtil.randomPowerLaw(3)
     val er = TestUtil.randomGraph(5)
+    val union = TestUtil.componentUnion
     val inputs = Seq(
       ("road grid 20x20, hybrid order", road, VertexOrder.hybridOrder(road, 4)),
       ("power-law seed=3, tree-decomposition order", pl, VertexOrder.treeDecompOrder(pl)),
       ("random graph seed=5, shuffled order", er, new scala.util.Random(5).shuffle((0 until er.n).toVector).toArray),
+      ("path + grid + isolated vertex, degree order", union, VertexOrder.degreeOrder(union)),
     )
-    for ((name, g, order) <- inputs; t <- Seq(1, 4)) withClue(s"$name, $t threads: ") {
-      TestUtil.assertSameLabels(HpSpc.build(g, order), Pspc.build(g, order, threads = t, numLandmarks = 0)._1)
+    for ((name, g, order) <- inputs) {
+      val hp = HpSpc.build(g, order)
+      for (t <- Seq(1, 4); s <- Seq(StaticSchedule, DynamicSchedule); k <- Seq(0, 5))
+        withClue(s"$name, $t threads, $s, $k landmarks: ") {
+          TestUtil.assertSameLabels(hp, Pspc.build(g, order, threads = t, schedule = s, numLandmarks = k)._1)
+        }
     }
+  }
+
+  test("round d pulls exactly the vertices with a neighbour labelled at distance d-1") {
+    val road = GraphGen.roadGrid(20, 20, 0.12, 3)
+    val union = TestUtil.componentUnion
+    val weighted = TestUtil.weightedPath
+    val inputs = Seq(
+      ("road grid 20x20, hybrid order", road, VertexOrder.hybridOrder(road, 4)),
+      ("path + grid + isolated vertex", union, VertexOrder.degreeOrder(union)),
+      ("weighted path", weighted, VertexOrder.degreeOrder(weighted)),
+    )
+    for ((name, g, order) <- inputs; s <- Seq(StaticSchedule, DynamicSchedule); t <- Seq(1, 4))
+      withClue(s"$name, $s, $t threads: ") {
+        val frontiers = mutable.ArrayBuffer.empty[(Int, Array[Int])]
+        val (idx, stats) = Pspc.pipeline(g, order, t, numLandmarks = 0) { (workers, kernel) =>
+          val pulls = Pspc.threadedPulls(g, order, s)(workers, kernel)
+          (d, frontier, stage) => { frontiers += d -> frontier.toArray; pulls(d, frontier, stage) }
+        }
+        // the round after the last one pulls the last round's neighbours and adds nothing
+        assert(frontiers.map(_._1) == (1 to stats.rounds + 1))
+        for ((d, f) <- frontiers) {
+          val expected = (0 until g.n).filter(u => g.nbr(u).exists(v => idx.dists(v).contains(d - 1)))
+          assert(f.sorted.toSeq == expected, s"round $d")
+        }
+      }
+  }
+
+  test("a serialised kernel pulls the same survivors as the original, from its live entries only") {
+    def bytesOf(k: Kernel): Array[Byte] = {
+      val bytes = new ByteArrayOutputStream
+      val out = new ObjectOutputStream(bytes)
+      out.writeObject(k); out.close()
+      bytes.toByteArray
+    }
+    val g = GraphGen.roadGrid(20, 20, 0.12, 3)
+    val order = VertexOrder.hybridOrder(g, 4)
+    val checked = mutable.ArrayBuffer.empty[Int]
+    Pspc.pipeline(g, order, 1, numLandmarks = 5) { (workers, kernel) =>
+      val pulls = Pspc.threadedPulls(g, order, DynamicSchedule)(workers, kernel)
+      (d, frontier, stage) => {
+        if (d % 4 == 0) {
+          val bytes = bytesOf(kernel)
+          val copy = new ObjectInputStream(new ByteArrayInputStream(bytes)).readObject().asInstanceOf[Kernel]
+          // the copy's lists have no spare capacity: equal sizes mean only
+          // the live entries were written
+          assert(bytesOf(copy).length == bytes.length, s"round $d")
+          val a = new Scratch(g.n); val b = new Scratch(g.n)
+          for (u <- 0 until g.n) {
+            assert(copy.lastRoundSize(u) == kernel.lastRoundSize(u), s"round $d, vertex $u")
+            kernel.pull(u, d, a); copy.pull(u, d, b)
+            assert(a.outHubs.toArray.toSeq == b.outHubs.toArray.toSeq, s"round $d, vertex $u")
+            assert(a.outCnts.toArray.toSeq == b.outCnts.toArray.toSeq, s"round $d, vertex $u")
+          }
+          checked += d
+        }
+        pulls(d, frontier, stage)
+      }
+    }
+    assert(checked.length >= 3, s"checked rounds $checked")
   }
 
   for ((name, g) <- TestUtil.smallGraphs) {

@@ -32,6 +32,15 @@ class ReferenceSuite extends AnyFunSuite {
     assert(d(6) == 3 && c(6) == 4L)
   }
 
+  test("bfsSpcExact counts 2^64 paths along 64 diamonds, where bfsSpc fails loudly") {
+    val g = TestUtil.diamondChain(64)
+    val (d, c) = Reference.bfsSpcExact(g, 0)
+    for (i <- 0 to 64) assert(d(3 * i) == 2 * i && c(3 * i) == BigInt(2).pow(i), s"junction $i")
+    intercept[ArithmeticException](Reference.bfsSpc(g, 0))
+    val (d62, c62) = Reference.bfsSpc(g, 6)
+    assert(d62(192) == 124 && c62(192) == 1L << 62)
+  }
+
   test("complete graph: every distinct pair has one shortest path of length 1") {
     val g = GraphGen.complete(7)
     val (d, c) = Reference.allPairs(g)

@@ -70,6 +70,12 @@ class SparkPspcSuite extends SparkSpec {
     assertMatchesThreaded(g, order, idx)
   }
 
+  test("Spark PSPC fails loudly on a path count beyond a Long") {
+    val g = TestUtil.diamondChain(64)
+    val e = intercept[Exception](SparkPspc.build(spark, g, VertexOrder.degreeOrder(g)))
+    assert(e.getMessage.contains("exceeds a Long"), e.getMessage)
+  }
+
   test("Spark PSPC rejects an order one slot too short or too long") {
     val g = GraphGen.path(6)
     for (order <- Seq(Array(0, 1, 2, 3, 4), Array(0, 1, 2, 3, 4, 5, 6))) {
