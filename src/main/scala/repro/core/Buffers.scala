@@ -1,10 +1,8 @@
 package repro.core
 
-/** Minimal growable primitive buffers. Both index builders keep labels in
-  * parallel primitive arrays and hand them to `LabelIndex.fromArrays`, the
-  * one rank sort, so the HP-SPC baseline and PSPC share the same
-  * per-entry constants (fair Exp 1 comparison). HP-SPC, the sequential
-  * baseline, sorts on one thread; PSPC sorts on the build's pool.
+/** Minimal growable primitive buffers. HP-SPC grows its labels in them
+  * and hands them to `LabelIndex.fromArrays`, which sorts each list by hub
+  * rank on one thread; PSPC's kernel uses them as per-worker scratch.
   */
 final class IntBuf(initial: Int = 4) extends Serializable {
   var a: Array[Int] = new Array[Int](initial)

@@ -130,16 +130,17 @@ object HpSpc {
       var k = levelEnd
       while (k < tail) {
         val u = queue(k)
-        // Query(h, u, L_<i): min over common hubs via the tmpDist table
+        // Query(h, u, L_<i) < d, via the tmpDist table: only whether some
+        // common hub beats the BFS depth matters, so the scan stops there
         val hu = hubs(u); val du = dists(u)
-        var q = Int.MaxValue
+        var beaten = false
         var j = 0
-        while (j < hu.len) {
+        while (j < hu.len && !beaten) {
           val td = tmpDist(hu(j))
-          if (td >= 0 && td + du(j) < q) q = td + du(j)
+          beaten = td >= 0 && td + du(j) < d
           j += 1
         }
-        if (q < d) pruned(u) = true
+        if (beaten) pruned(u) = true
         else if (cnt(u) == Counts.Overflow) throw Counts.overflow(u, h)
         else addLabel(u, h, d, cnt(u))
         k += 1

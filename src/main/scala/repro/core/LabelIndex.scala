@@ -87,8 +87,9 @@ object LabelIndex {
 
   /** Assemble an index from per-vertex label arrays in any entry order.
     * Sorts each vertex's `hubs` / `dists` / `cnts` together by hub rank, in
-    * place, and throws if a label list holds the same hub twice. This is
-    * the one place labels become rank-sorted lists; every builder ends here.
+    * place, and throws if a label list holds the same hub twice. HP-SPC and
+    * the tests assemble their indexes here; PSPC's kernel keeps its blocks
+    * sorted by rank and merges them itself (`Pspc.Kernel.index`).
     *
     * @param weight  the graph's vertex weights; an index whose weights are
     *                all 1 stores `null`, so its queries skip the lookup
@@ -110,8 +111,20 @@ object LabelIndex {
       var v = from
       while (v < until) { sortLabel(v, rank, hubs(v), dists(v), cnts(v), s); v += 1 }
     }
-    new LabelIndex(order, hubs, dists, cnts, if (weight == null || weight.forall(_ == 1L)) null else weight)
+    ofSorted(order, hubs, dists, cnts, weight)
   }
+
+  /** An index over label lists that are already sorted by hub rank, with
+    * the same weight rule as `fromArrays`.
+    */
+  private[core] def ofSorted(
+      order: Array[Int],
+      hubs: Array[Array[Int]],
+      dists: Array[Array[Int]],
+      cnts: Array[Array[Long]],
+      weight: Array[Long],
+  ): LabelIndex =
+    new LabelIndex(order, hubs, dists, cnts, if (weight == null || weight.forall(_ == 1L)) null else weight)
 
   /** Per-worker buffers of `sortLabel`, grown to the longest list seen. */
   private final class SortScratch {

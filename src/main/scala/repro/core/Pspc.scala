@@ -15,7 +15,8 @@ import repro.order.VertexOrder
   *
   * Per-candidate pruning for `(w, u, d)` pulled from `Σ_{v∈N(u)} L_{d-1}(v)`:
   *  1. rank rule (Lemma 3): drop unless `rank(w)` is strictly higher than
-  *     `rank(u)`;
+  *     `rank(u)`. Every block is sorted by hub rank, so the rule ends a
+  *     block's scan at its first hub not ranked above `u` (DESIGN.md §2);
   *  2. Label Elimination: drop if `w` is already a hub of `u` (then
   *     `dis(w,u) < d`);
   *  3. landmark filter (§III-H), an O(1) short-circuit of rule 4 when the
@@ -42,28 +43,33 @@ object Pspc {
 
   /** Phase timings (milliseconds) of one build: landmark labeling (LL) and
     * label construction (LC), plus the number of distance rounds. The rest
-    * of the build's wall clock is materialisation (trimming the label lists
-    * to their length and the final `LabelIndex.fromArrays` sort, both on
-    * the build's pool), the order check and closing the pool.
+    * of the build's wall clock is materialisation (merging each vertex's
+    * rank-sorted blocks into its final arrays on the build's pool,
+    * `Kernel.index`), the order check and closing the pool.
     */
   final case class BuildStats(llMs: Double, lcMs: Double, rounds: Int)
 
-  /** Per-worker scratch for [[Kernel]]: a dense hub->dist table of L(u)
-    * and candidate accumulators, both reset via touch lists, plus the
-    * survivors of the last vertex the kernel processed.
+  /** Per-worker scratch for [[Kernel]], indexed by hub rank: a dense
+    * rank->dist table of L(u) and candidate accumulators, both reset via
+    * touch lists, a bitmap that orders the survivors, and the survivors of
+    * the last vertex the kernel processed.
     */
   final class Scratch(n: Int) {
     val tmpDist: Array[Int] = Array.fill(n)(-1)
     val candCnt: Array[Long] = new Array[Long](n)
     val candList: IntBuf = new IntBuf(64)
+    /** One bit per hub rank, all clear between pulls. */
+    val rankBits: Array[Long] = new Array[Long]((n + 63) >>> 6)
+    /** The survivors' hub ranks, strictly ascending, and their counts. */
     val outHubs: IntBuf = new IntBuf(8)
     val outCnts: LongBuf = new LongBuf(8)
   }
 
   /** Where a round's pull phase hands over vertex `u`'s survivors
-    * `(hubs, cnts)`. They become `u`'s entries once the round's last pull
-    * is done. `u` must be in the round's [[Frontier]]; empty survivors
-    * stage nothing.
+    * `(hub ranks, cnts)`, as `pull` leaves them: strictly ascending in hub
+    * rank. They become `u`'s entries once the round's last pull is done.
+    * `u` must be in the round's [[Frontier]]; empty survivors stage
+    * nothing.
     */
   type Stage = (Int, Array[Int], Array[Long]) => Unit
 
@@ -95,15 +101,22 @@ object Pspc {
     * one per round) is the frozen snapshot `L_{<=d-1}`.
     *
     * Vertex `v`'s entries are `hubs(v)`, `dists(v)` and `cnts(v)` at
-    * indices `[0, len(v))`. The arrays' capacity doubles when a round
-    * outgrows it, so a round copies no list that has room; `index` trims
-    * them to `len(v)`, and serialisation writes only `[0, len(v))`.
+    * indices `[0, len(v))`. `hubs` holds hub *ranks*, not vertex ids: the
+    * scratch tables are indexed by them, and every round's block is sorted
+    * by them, so the rank rule is a loop bound in `pull` (DESIGN.md §2).
+    * The arrays' capacity doubles when a round outgrows it, so a round
+    * copies no list that has room; `index` merges each list's blocks into
+    * exact-length arrays of vertex ids, and serialisation writes only
+    * `[0, len(v))`.
     *
+    * @param order     the build's total order, `order(rank) = vertex`
+    * @param rank      its inverse
     * @param landmarks landmark filter, or `null` for none
     */
-  final class Kernel private[Pspc] (g: Graph, rank: Array[Int], landmarks: Landmarks) extends Serializable {
+  final class Kernel private[Pspc] (g: Graph, order: Array[Int], rank: Array[Int], landmarks: Landmarks)
+      extends Serializable {
     val n: Int = g.n
-    @transient private var hubs: Array[Array[Int]] = Array.tabulate(n)(v => Array(v))
+    @transient private var hubs: Array[Array[Int]] = Array.tabulate(n)(v => Array(rank(v)))
     @transient private var dists: Array[Array[Int]] = Array.fill(n)(Array(0))
     @transient private var cnts: Array[Array[Long]] = Array.fill(n)(Array(1L))
     /** Number of live entries of each list. */
@@ -124,7 +137,11 @@ object Pspc {
     /** Pull the distance-`d` candidates of `u` from its neighbours'
       * round-(d-1) entries (rank rule, Label Elimination, Label Merging),
       * prune them (landmark filter, query rule), and leave the survivors in
-      * `s.outHubs` / `s.outCnts`.
+      * `s.outHubs` / `s.outCnts`, strictly ascending in hub rank.
+      *
+      * Each neighbour's block is sorted by hub rank, so the entries the
+      * rank rule drops are its suffix from the first hub ranked at or
+      * below `u`, and the scan stops there (DESIGN.md §2).
       *
       * @throws ArithmeticException if a survivor's count exceeds a `Long`
       */
@@ -136,22 +153,23 @@ object Pspc {
       s.candList.clear(); s.outHubs.clear(); s.outCnts.clear()
       g.foreachNbr(u) { v =>
         val hv = hubs(v); val cv = cnts(v); val lv = len(v)
+        val rv = rank(v); val wv = g.weight(v)
         var j = prevStart(v)
-        while (j < lv) {
+        while (j < lv && hv(j) < ru) {
           val w = hv(j)
-          if (rank(w) < ru && s.tmpDist(w) < 0) {
-            val mult = if (w == v) 1L else g.weight(v)
+          if (s.tmpDist(w) < 0) {
+            val mult = if (w == rv) 1L else wv
             if (s.candCnt(w) == 0L) s.candList += w
             s.candCnt(w) = Counts.add(s.candCnt(w), Counts.mul(cv(j), mult))
           }
           j += 1
         }
       }
+      // survivors go to outHubs unordered; their counts stay in candCnt
+      var lo = Int.MaxValue; var hi = -1
       var k = 0
       while (k < s.candList.len) {
         val w = s.candList(k)
-        val c = s.candCnt(w)
-        s.candCnt(w) = 0L
         // -1 undecided, 0 keep, 1 prune
         var verdict = if (landmarks != null) landmarks.decide(w, u, d) else -1
         if (verdict == -1) {
@@ -159,8 +177,9 @@ object Pspc {
           // dis(u,x) + dis(x,w) < d. Only entries at distances 1..d-2,
           // [1, prevStart(w)), can: index 0 is w, which Label Elimination
           // kept out of L(u), and every other x outranks u, so dis(u,x) >= 1.
-          val hw = hubs(w); val dw = dists(w)
-          val end = prevStart(w)
+          val x = order(w)
+          val hw = hubs(x); val dw = dists(x)
+          val end = prevStart(x)
           var j = 1
           verdict = 0
           while (j < end && verdict == 0) {
@@ -170,19 +189,52 @@ object Pspc {
           }
         }
         if (verdict == 0) {
-          if (c == Counts.Overflow) throw Counts.overflow(u, w)
-          s.outHubs += w; s.outCnts += c
-        }
+          if (s.candCnt(w) == Counts.Overflow) throw Counts.overflow(u, order(w))
+          s.outHubs += w
+          if (w < lo) lo = w
+          if (w > hi) hi = w
+        } else s.candCnt(w) = 0L
         k += 1
       }
+      val m = s.outHubs.len
+      if (m > 1) sortRanks(s, lo, hi)
+      k = 0
+      while (k < m) { val w = s.outHubs(k); s.outCnts += s.candCnt(w); s.candCnt(w) = 0L; k += 1 }
       i = 0
       while (i < lu) { s.tmpDist(hu(i)) = -1; i += 1 }
+    }
+
+    /** Sort the distinct ranks `s.outHubs`, all in `[lo, hi]`, ascending,
+      * without comparisons: set a bit per rank, then read the bits back in
+      * order, one word per 64 ranks of `[lo, hi]`.
+      */
+    private def sortRanks(s: Scratch, lo: Int, hi: Int): Unit = {
+      val out = s.outHubs.a; val m = s.outHubs.len
+      val bits = s.rankBits
+      var k = 0
+      while (k < m) { val w = out(k); bits(w >>> 6) |= 1L << w; k += 1 }
+      k = 0
+      var word = lo >>> 6
+      val last = hi >>> 6
+      while (word <= last) {
+        var b = bits(word)
+        if (b != 0L) {
+          bits(word) = 0L
+          while (b != 0L) {
+            out(k) = (word << 6) | java.lang.Long.numberOfTrailingZeros(b); k += 1
+            b &= b - 1
+          }
+        }
+        word += 1
+      }
     }
 
     /** Append `u`'s round-`d` survivors and make them its round-`d` block.
       * The arrays double when they run out of room. Appending round by
       * round keeps each list in ascending distance with `u` at index 0,
-      * which `prevStart` and the query rule in `pull` depend on.
+      * which `prevStart` and the query rule in `pull` depend on; `nh` is
+      * sorted by hub rank, which the rank rule's bound in `pull` and the
+      * merge in `index` depend on.
       */
     private def append(u: Int, d: Int, nh: Array[Int], nc: Array[Long]): Unit = {
       val old = len(u)
@@ -273,22 +325,81 @@ object Pspc {
       d - 1
     }
 
-    /** The finished labels, trimmed to their length and sorted by hub rank
-      * on `workers`.
+    /** The finished labels: on `workers`, each list's rank-sorted blocks
+      * are merged into exact-length arrays and its hub ranks mapped back to
+      * vertex ids. A list without spare capacity is rewritten in place.
+      *
+      * @throws IllegalArgumentException if a list holds a hub twice
       */
-    private[Pspc] def index(order: Array[Int], workers: Workers): LabelIndex = {
-      workers.dynamic(n, 256) { (_, from, until) =>
+    private[Pspc] def index(workers: Workers): LabelIndex = {
+      val scratches = Array.fill(workers.count)(new MergeScratch)
+      workers.dynamic(n, 256) { (t, from, until) =>
+        val s = scratches(t)
         var v = from
-        while (v < until) {
-          if (hubs(v).length != len(v)) {
-            hubs(v) = java.util.Arrays.copyOf(hubs(v), len(v))
-            dists(v) = java.util.Arrays.copyOf(dists(v), len(v))
-            cnts(v) = java.util.Arrays.copyOf(cnts(v), len(v))
-          }
-          v += 1
-        }
+        while (v < until) { materialise(v, s); v += 1 }
       }
-      LabelIndex.fromArrays(order, hubs, dists, cnts, g.weight, workers)
+      LabelIndex.ofSorted(order, hubs, dists, cnts, g.weight)
+    }
+
+    /** Merge `v`'s blocks, the runs of equal distance, each sorted by hub
+      * rank, pairwise until one run is left, on keys `rank << 32 | index`,
+      * then write the list back as vertex ids.
+      */
+    private def materialise(v: Int, s: MergeScratch): Unit = {
+      val l = len(v)
+      val h = hubs(v); val dv = dists(v); val cv = cnts(v)
+      s.ensure(l)
+      val runs = s.runs
+      var nr = 0
+      var i = 0
+      while (i < l) {
+        if (i == 0 || dv(i) != dv(i - 1)) { runs(nr) = i; nr += 1 }
+        s.keys(i) = (h(i).toLong << 32) | i
+        i += 1
+      }
+      runs(nr) = l
+      var src = s.keys; var dst = s.merged
+      while (nr > 1) {
+        var r = 0; var m = 0
+        while (r + 1 < nr) { merge(src, dst, runs(r), runs(r + 1), runs(r + 2)); runs(m) = runs(r); m += 1; r += 2 }
+        if (r < nr) { System.arraycopy(src, runs(r), dst, runs(r), l - runs(r)); runs(m) = runs(r); m += 1 }
+        runs(m) = l; nr = m
+        val t = src; src = dst; dst = t
+      }
+      if (h.length == l) {
+        System.arraycopy(dv, 0, s.dists, 0, l); System.arraycopy(cv, 0, s.cnts, 0, l)
+        writeBack(v, src, l, s.dists, s.cnts, h, dv, cv)
+      } else {
+        hubs(v) = new Array[Int](l); dists(v) = new Array[Int](l); cnts(v) = new Array[Long](l)
+        writeBack(v, src, l, dv, cv, hubs(v), dists(v), cnts(v))
+      }
+    }
+
+    /** Merge the sorted runs `src[a, b)` and `src[b, e)` into `dst[a, e)`. */
+    private def merge(src: Array[Long], dst: Array[Long], a: Int, b: Int, e: Int): Unit = {
+      var x = a; var y = b; var o = a
+      while (x < b && y < e) {
+        if (src(x) < src(y)) { dst(o) = src(x); x += 1 } else { dst(o) = src(y); y += 1 }
+        o += 1
+      }
+      if (x < b) System.arraycopy(src, x, dst, o, b - x)
+      else System.arraycopy(src, y, dst, o, e - y)
+    }
+
+    /** Write the merged `keys` of `v` out as hub vertex ids, distances and
+      * counts, reading the entries' distances and counts from `d` and `c`.
+      */
+    private def writeBack(v: Int, keys: Array[Long], l: Int, d: Array[Int], c: Array[Long],
+        outH: Array[Int], outD: Array[Int], outC: Array[Long]): Unit = {
+      var prev = -1
+      var i = 0
+      while (i < l) {
+        val r = (keys(i) >>> 32).toInt; val p = keys(i).toInt
+        if (r == prev) throw new IllegalArgumentException(s"label list of vertex $v holds hub ${order(r)} twice")
+        outH(i) = order(r); outD(i) = d(p); outC(i) = c(p)
+        prev = r
+        i += 1
+      }
     }
 
     /** The lists' live prefixes, flattened: the spare capacity of a list is
@@ -329,10 +440,26 @@ object Pspc {
     }
   }
 
+  /** Per-worker buffers of `Kernel.index`, grown to the longest list seen:
+    * merge keys, run starts, and copies of the list being rewritten.
+    */
+  private final class MergeScratch {
+    var keys = new Array[Long](16)
+    var merged = new Array[Long](16)
+    var runs = new Array[Int](17)
+    var dists = new Array[Int](16)
+    var cnts = new Array[Long](16)
+
+    def ensure(len: Int): Unit = if (keys.length < len) {
+      keys = new Array[Long](len); merged = new Array[Long](len); runs = new Array[Int](len + 1)
+      dists = new Array[Int](len); cnts = new Array[Long](len)
+    }
+  }
+
   /** The PSPC build pipeline every builder shares. It checks `order`, opens
     * one [[Workers]] pool of `threads` that runs every phase and closes it
     * in `finally`, builds the landmark filter (the LL clock), runs the
-    * round protocol of [[Kernel]] (the LC clock) and sorts the labels into
+    * round protocol of [[Kernel]] (the LC clock) and merges the labels into
     * a [[LabelIndex]]. A builder passes only its pull phase: `pullPhase`
     * gets the pool and the kernel once and returns the function that runs
     * round `d`'s pulls over its frontier and stages their survivors.
@@ -343,15 +470,15 @@ object Pspc {
     val workers = new Workers(threads)
     try {
       val llStart = System.nanoTime()
-      val landmarks = if (numLandmarks > 0) new Landmarks(g, math.min(numLandmarks, g.n), workers) else null
+      val landmarks = if (numLandmarks > 0) new Landmarks(g, math.min(numLandmarks, g.n), rank, workers) else null
       val llMs = (System.nanoTime() - llStart) / 1e6
 
       val lcStart = System.nanoTime()
-      val kernel = new Kernel(g, rank, landmarks)
+      val kernel = new Kernel(g, order, rank, landmarks)
       val rounds = kernel.rounds(workers)(pullPhase(workers, kernel))
       val lcMs = (System.nanoTime() - lcStart) / 1e6
 
-      (kernel.index(order, workers), BuildStats(llMs, lcMs, rounds))
+      (kernel.index(workers), BuildStats(llMs, lcMs, rounds))
     } finally workers.close()
   }
 

@@ -70,8 +70,12 @@ final class Graph private (
     * reaches, and returns how many it reached (`s` included). Vertices with
     * `dist >= 0` count as visited, so one array can carry several searches.
     */
-  def bfs(s: Int, dist: Array[Int]): Int = {
-    val queue = new Array[Int](n)
+  def bfs(s: Int, dist: Array[Int]): Int = bfs(s, dist, new Array[Int](n))
+
+  /** `bfs(s, dist)` with a caller's `queue` of at least `n` slots, which it leaves
+    * holding the reached vertices, in visiting order, at `[0, result)`.
+    */
+  def bfs(s: Int, dist: Array[Int], queue: Array[Int]): Int = {
     var head = 0; var tail = 0
     dist(s) = 0; queue(tail) = s; tail += 1
     while (head < tail) {

@@ -8,10 +8,11 @@ import scala.collection.immutable.ArraySeq
 /** PSPC as a Spark job. Round `d` reads only the frozen snapshot
   * `L_{<=d-1}` (paper §III), so this build's pull phase broadcasts the
   * [[Pspc.Kernel]], pulls every partition's share of the round's frontier
-  * through it, and stages the collected survivors on the driver.
-  * Everything else, the order check, the round protocol with its frontier
-  * and the final sort, is the threaded builder's `Pspc.pipeline`; there is
-  * no second copy of it or of the pruning rules. `SparkQueries.evaluate`
+  * through it, and stages the collected survivors on the driver, in the
+  * rank order the kernel's pull leaves them in. Everything else, the order
+  * check, the round protocol with its frontier and the final merge, is the
+  * threaded builder's `Pspc.pipeline`; there is no second copy of it or of
+  * the pruning rules. `SparkQueries.evaluate`
   * answers batch queries from the returned index.
   */
 object SparkPspc {

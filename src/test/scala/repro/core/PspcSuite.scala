@@ -10,6 +10,16 @@ import scala.collection.mutable
 class PspcSuite extends AnyFunSuite {
   import Pspc._
 
+  private def bytesOf(k: Kernel): Array[Byte] = {
+    val bytes = new ByteArrayOutputStream
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(k); out.close()
+    bytes.toByteArray
+  }
+
+  private def kernelOf(bytes: Array[Byte]): Kernel =
+    new ObjectInputStream(new ByteArrayInputStream(bytes)).readObject().asInstanceOf[Kernel]
+
   test("reproduces the paper's Table II exactly on the Fig. 2 graph") {
     val g = Graph.paperExample
     val (idx, _) = Pspc.build(g, Graph.paperExampleOrder)
@@ -73,12 +83,6 @@ class PspcSuite extends AnyFunSuite {
   }
 
   test("a serialised kernel pulls the same survivors as the original, from its live entries only") {
-    def bytesOf(k: Kernel): Array[Byte] = {
-      val bytes = new ByteArrayOutputStream
-      val out = new ObjectOutputStream(bytes)
-      out.writeObject(k); out.close()
-      bytes.toByteArray
-    }
     val g = GraphGen.roadGrid(20, 20, 0.12, 3)
     val order = VertexOrder.hybridOrder(g, 4)
     val checked = mutable.ArrayBuffer.empty[Int]
@@ -87,7 +91,7 @@ class PspcSuite extends AnyFunSuite {
       (d, frontier, stage) => {
         if (d % 4 == 0) {
           val bytes = bytesOf(kernel)
-          val copy = new ObjectInputStream(new ByteArrayInputStream(bytes)).readObject().asInstanceOf[Kernel]
+          val copy = kernelOf(bytes)
           // the copy's lists have no spare capacity: equal sizes mean only
           // the live entries were written
           assert(bytesOf(copy).length == bytes.length, s"round $d")
@@ -104,6 +108,74 @@ class PspcSuite extends AnyFunSuite {
       }
     }
     assert(checked.length >= 3, s"checked rounds $checked")
+  }
+
+  test("every staged block is strictly ascending in hub rank") {
+    // pull's rank-rule bound and index's merge both depend on this order;
+    // a block out of order loses candidates, so the labels differ as well
+    def assertAscending(d: Int, u: Int, h: Array[Int]): Unit =
+      assert((1 until h.length).forall(i => h(i - 1) < h(i)), s"round $d, vertex $u: ${h.toSeq}")
+    val road = GraphGen.roadGrid(20, 20, 0.12, 3)
+    val union = TestUtil.componentUnion
+    val weighted = TestUtil.weightedPath
+    val inputs = Seq(
+      ("road grid 20x20, hybrid order", road, VertexOrder.hybridOrder(road, 4)),
+      ("path + grid + isolated vertex", union, VertexOrder.degreeOrder(union)),
+      ("weighted path", weighted, VertexOrder.degreeOrder(weighted)),
+    )
+    for ((name, g, order) <- inputs) {
+      val hp = HpSpc.build(g, order)
+      for (t <- Seq(1, 4); s <- Seq(StaticSchedule, DynamicSchedule); k <- Seq(0, 5))
+        withClue(s"$name, $t threads, $s, $k landmarks: ") {
+          val staged = new java.util.concurrent.atomic.AtomicInteger
+          val (idx, _) = Pspc.pipeline(g, order, t, k) { (workers, kernel) =>
+            val pulls = Pspc.threadedPulls(g, order, s)(workers, kernel)
+            (d, frontier, stage) =>
+              pulls(d, frontier, (u, h, c) => { assertAscending(d, u, h); staged.incrementAndGet(); stage(u, h, c) })
+          }
+          assert(staged.get > 0)
+          TestUtil.assertSameLabels(hp, idx)
+        }
+      // the Spark build pulls through a deserialised copy of the kernel
+      withClue(s"$name, a deserialised kernel: ") {
+        val (idx, _) = Pspc.pipeline(g, order, 1, 5) { (_, kernel) => (d, frontier, stage) =>
+          val copy = kernelOf(bytesOf(kernel))
+          val s = new Scratch(g.n)
+          for (i <- 0 until frontier.size) {
+            val u = frontier(i)
+            copy.pull(u, d, s)
+            val h = s.outHubs.toArray
+            assertAscending(d, u, h)
+            stage(u, h, s.outCnts.toArray)
+          }
+        }
+        TestUtil.assertSameLabels(hp, idx)
+      }
+    }
+  }
+
+  test("materialisation fails on a hub staged twice for one vertex") {
+    // round 2 re-stages a hub that round 1 gave vertex u: the merge in
+    // Kernel.index must see the duplicate instead of building an index
+    val g = GraphGen.path(6)
+    val order = VertexOrder.degreeOrder(g)
+    var round1 = Map.empty[Int, Array[Int]]
+    var restaged = -1
+    val e = intercept[IllegalArgumentException] {
+      Pspc.pipeline(g, order, 1, 0) { (workers, kernel) =>
+        val pulls = Pspc.threadedPulls(g, order, DynamicSchedule)(workers, kernel)
+        (d, frontier, stage) => {
+          pulls(d, frontier, (u, h, c) => { if (d == 1) round1 += u -> h; stage(u, h, c) })
+          if (d == 2) {
+            val u = frontier.toArray.find(round1.contains).get
+            stage(u, Array(round1(u)(0)), Array(1L))
+            restaged = u
+          }
+        }
+      }
+    }
+    assert(restaged >= 0)
+    assert(e.getMessage.contains(s"label list of vertex $restaged holds hub"), e.getMessage)
   }
 
   for ((name, g) <- TestUtil.smallGraphs) {
