@@ -1,8 +1,8 @@
 package repro.core
 
-/** Minimal growable primitive buffers. HP-SPC grows its labels in them
-  * and hands them to `LabelIndex.fromArrays`, which sorts each list by hub
-  * rank on one thread; PSPC's kernel uses them as per-worker scratch.
+/** Minimal growable primitive buffers. HP-SPC grows its labels in them,
+  * already in hub-rank order, and hands their trimmed copies to the
+  * [[LabelIndex]] constructor; PSPC's kernel uses them as per-worker scratch.
   */
 final class IntBuf(initial: Int = 4) extends Serializable {
   var a: Array[Int] = new Array[Int](initial)

@@ -27,7 +27,7 @@ object HpSpc {
     val s = new State(g.n)
     var r = 0
     while (r < order.length) {
-      prunedBfs(g, order(r), s, wantTree = false)
+      prunedBfs(g, order(r), r, s, wantTree = false)
       s.processed(order(r)) = true
       r += 1
     }
@@ -46,7 +46,7 @@ object HpSpc {
     var r = 0
     while (r < g.n) {
       order(r) = h
-      prunedBfs(g, h, s, wantTree = true)
+      prunedBfs(g, h, r, s, wantTree = true)
       s.processed(h) = true
       r += 1
       if (r < g.n)
@@ -55,9 +55,10 @@ object HpSpc {
     (s.toIndex(order, g.weight), order)
   }
 
-  /** One build's state: the labels `(hub, dist, cnt)` grown so far per
-    * vertex, the processed hubs, and reusable per-BFS working arrays
-    * (avoids O(n) allocation per hub).
+  /** One build's state: the labels `(hub rank, dist, cnt)` grown so far
+    * per vertex, the processed hubs, and reusable per-BFS working arrays
+    * (avoids O(n) allocation per hub). Hubs run in rank order, so every
+    * list grows in the ascending rank order [[LabelIndex]] stores.
     */
   final class State(n: Int) {
     val hubs: Array[IntBuf] = Array.fill(n)(new IntBuf)
@@ -70,21 +71,22 @@ object HpSpc {
     val des: Array[Int] = new Array[Int](n)
     val pruned: Array[Boolean] = new Array[Boolean](n)
     val queue: Array[Int] = new Array[Int](n)
-    val tmpDist: Array[Int] = Array.fill(n)(-1) // hub -> dist(h, hub), for O(|L(u)|) queries
+    val tmpDist: Array[Int] = Array.fill(n)(-1) // hub rank -> dist(h, hub), for O(|L(u)|) queries
 
     def addLabel(v: Int, hub: Int, dist: Int, cnt: Long): Unit = {
       hubs(v) += hub; dists(v) += dist; cnts(v) += cnt
     }
 
     def toIndex(order: Array[Int], weight: Array[Long]): LabelIndex =
-      LabelIndex.fromArrays(order, hubs.map(_.toArray), dists.map(_.toArray), cnts.map(_.toArray), weight)
+      new LabelIndex(order, hubs.map(_.toArray), dists.map(_.toArray), cnts.map(_.toArray), weight)
   }
 
-  /** One pruned BFS sourced at `h`; appends this iteration's labels to
-    * `s`. When `wantTree`, also records the BFS tree parents and subtree
-    * descendant counts in `s` (for the significant-path order).
+  /** One pruned BFS sourced at `h`, of rank `r`; appends this iteration's
+    * labels, with hub `r`, to `s`. When `wantTree`, also records the BFS
+    * tree parents and subtree descendant counts in `s` (for the
+    * significant-path order).
     */
-  private def prunedBfs(g: Graph, h: Int, s: State, wantTree: Boolean): Unit = {
+  private def prunedBfs(g: Graph, h: Int, r: Int, s: State, wantTree: Boolean): Unit = {
     import s._
     if (wantTree) {
       // the significant-path order reads parent/des for exactly this BFS:
@@ -92,17 +94,17 @@ object HpSpc {
       java.util.Arrays.fill(parent, -1)
       java.util.Arrays.fill(des, 0)
     }
-    // load L(h) into the hub->dist table for constant-time query terms
+    // load L(h) into the rank->dist table for constant-time query terms
     val lh = hubs(h); val ld = dists(h)
     var i = 0
     while (i < lh.len) { tmpDist(lh(i)) = ld(i); i += 1 }
-    tmpDist(h) = 0
+    tmpDist(r) = 0
 
     var head = 0; var tail = 0
     var touched = 0
     dist(h) = 0; cnt(h) = 1L; parent(h) = -1; pruned(h) = false
     queue(tail) = h; tail += 1
-    addLabel(h, h, 0, 1L)
+    addLabel(h, r, 0, 1L)
     var levelEnd = tail
     var d = 1
     while (head < tail) {
@@ -142,7 +144,7 @@ object HpSpc {
         }
         if (beaten) pruned(u) = true
         else if (cnt(u) == Counts.Overflow) throw Counts.overflow(u, h)
-        else addLabel(u, h, d, cnt(u))
+        else addLabel(u, r, d, cnt(u))
         k += 1
       }
       levelEnd = tail
@@ -170,6 +172,6 @@ object HpSpc {
     }
     i = 0
     while (i < lh.len) { tmpDist(lh(i)) = -1; i += 1 }
-    tmpDist(h) = -1
+    tmpDist(r) = -1
   }
 }

@@ -106,8 +106,8 @@ object Pspc {
     * by them, so the rank rule is a loop bound in `pull` (DESIGN.md §2).
     * The arrays' capacity doubles when a round outgrows it, so a round
     * copies no list that has room; `index` merges each list's blocks into
-    * exact-length arrays of vertex ids, and serialisation writes only
-    * `[0, len(v))`.
+    * exact-length arrays, still of hub ranks, the layout [[LabelIndex]]
+    * stores, and serialisation writes only `[0, len(v))`.
     *
     * @param order     the build's total order, `order(rank) = vertex`
     * @param rank      its inverse
@@ -326,8 +326,9 @@ object Pspc {
     }
 
     /** The finished labels: on `workers`, each list's rank-sorted blocks
-      * are merged into exact-length arrays and its hub ranks mapped back to
-      * vertex ids. A list without spare capacity is rewritten in place.
+      * are merged into one exact-length, rank-sorted list of hub ranks. A
+      * list without spare capacity is rewritten in place. The
+      * [[LabelIndex]] constructor checks the merged lists.
       *
       * @throws IllegalArgumentException if a list holds a hub twice
       */
@@ -338,12 +339,12 @@ object Pspc {
         var v = from
         while (v < until) { materialise(v, s); v += 1 }
       }
-      LabelIndex.ofSorted(order, hubs, dists, cnts, g.weight)
+      new LabelIndex(order, hubs, dists, cnts, g.weight)
     }
 
     /** Merge `v`'s blocks, the runs of equal distance, each sorted by hub
       * rank, pairwise until one run is left, on keys `rank << 32 | index`,
-      * then write the list back as vertex ids.
+      * then write the list back in that order.
       */
     private def materialise(v: Int, s: MergeScratch): Unit = {
       val l = len(v)
@@ -368,10 +369,10 @@ object Pspc {
       }
       if (h.length == l) {
         System.arraycopy(dv, 0, s.dists, 0, l); System.arraycopy(cv, 0, s.cnts, 0, l)
-        writeBack(v, src, l, s.dists, s.cnts, h, dv, cv)
+        writeBack(src, l, s.dists, s.cnts, h, dv, cv)
       } else {
         hubs(v) = new Array[Int](l); dists(v) = new Array[Int](l); cnts(v) = new Array[Long](l)
-        writeBack(v, src, l, dv, cv, hubs(v), dists(v), cnts(v))
+        writeBack(src, l, dv, cv, hubs(v), dists(v), cnts(v))
       }
     }
 
@@ -386,18 +387,15 @@ object Pspc {
       else System.arraycopy(src, y, dst, o, e - y)
     }
 
-    /** Write the merged `keys` of `v` out as hub vertex ids, distances and
-      * counts, reading the entries' distances and counts from `d` and `c`.
+    /** Write the merged `keys` out as hub ranks, distances and counts,
+      * reading the entries' distances and counts from `d` and `c`.
       */
-    private def writeBack(v: Int, keys: Array[Long], l: Int, d: Array[Int], c: Array[Long],
+    private def writeBack(keys: Array[Long], l: Int, d: Array[Int], c: Array[Long],
         outH: Array[Int], outD: Array[Int], outC: Array[Long]): Unit = {
-      var prev = -1
       var i = 0
       while (i < l) {
-        val r = (keys(i) >>> 32).toInt; val p = keys(i).toInt
-        if (r == prev) throw new IllegalArgumentException(s"label list of vertex $v holds hub ${order(r)} twice")
-        outH(i) = order(r); outD(i) = d(p); outC(i) = c(p)
-        prev = r
+        val p = keys(i).toInt
+        outH(i) = (keys(i) >>> 32).toInt; outD(i) = d(p); outC(i) = c(p)
         i += 1
       }
     }

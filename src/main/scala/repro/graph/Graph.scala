@@ -85,18 +85,6 @@ final class Graph private (
     tail
   }
 
-  /** Exact eccentricity-based diameter of the largest component — O(n·m),
-    * only for small graphs (tests / bench setup).
-    */
-  def diameter: Int = {
-    val dist = new Array[Int](n)
-    (0 until n).foldLeft(0) { (best, s) =>
-      java.util.Arrays.fill(dist, -1)
-      bfs(s, dist)
-      math.max(best, dist.max)
-    }
-  }
-
   /** Induced subgraph on `keep` (true = kept); returns the subgraph and the
     * old-id array indexed by new id.
     */

@@ -61,6 +61,18 @@ object TestUtil {
       Seq((a, a + 1), (a, a + 2), (a + 1, z), (a + 2, z))
     })
 
+  /** Exact eccentricity-based diameter of `g`: the largest BFS distance
+    * between two vertices of one component — O(n·m), only for small graphs.
+    */
+  def diameter(g: Graph): Int = {
+    val dist = new Array[Int](g.n)
+    (0 until g.n).foldLeft(0) { (best, s) =>
+      java.util.Arrays.fill(dist, -1)
+      g.bfs(s, dist)
+      math.max(best, dist.max)
+    }
+  }
+
   /** Assert the index answers every pair exactly like the BFS reference. */
   def assertIndexExact(g: Graph, idx: LabelIndex): Unit = {
     val (dist, cnt) = Reference.allPairs(g)

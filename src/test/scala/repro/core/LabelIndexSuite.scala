@@ -3,13 +3,19 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.graph.Graph
+import repro.order.VertexOrder
 
 class LabelIndexSuite extends AnyFunSuite {
 
-  /** Index over per-vertex `(hub, dist, cnt)` lists, via `fromArrays`. */
-  private def indexOf(order: Array[Int])(lists: Seq[(Int, Int, Long)]*): LabelIndex =
-    LabelIndex.fromArrays(order, lists.map(_.map(_._1).toArray).toArray,
-      lists.map(_.map(_._2).toArray).toArray, lists.map(_.map(_._3).toArray).toArray)
+  /** Index over per-vertex `(hub, dist, cnt)` lists in any entry order:
+    * each hub becomes its rank under `order`, and each list is sorted by it.
+    */
+  private def indexOf(order: Array[Int])(lists: Seq[(Int, Int, Long)]*): LabelIndex = {
+    val rank = VertexOrder.rankOf(order, lists.length)
+    val sorted = lists.map(_.map { case (h, d, c) => (rank(h), d, c) }.sortBy(_._1))
+    new LabelIndex(order, sorted.map(_.map(_._1).toArray).toArray,
+      sorted.map(_.map(_._2).toArray).toArray, sorted.map(_.map(_._3).toArray).toArray)
+  }
 
   /** Table II, each label list handed over in a scrambled order. */
   private def tableIIIndex: LabelIndex = {
@@ -17,44 +23,17 @@ class LabelIndexSuite extends AnyFunSuite {
     indexOf(Graph.paperExampleOrder)((0 until 10).map(v => rnd.shuffle(TestUtil.tableII(v).toSeq)): _*)
   }
 
-  test("fromArrays sorts each label list by hub rank") {
-    // dists and counts encode their hub, so one left behind by the sort shows
-    val order = Array(3, 1, 4, 0, 2)
-    val scrambled = Array(2, 0, 4, 1, 3)
-    val idx = LabelIndex.fromArrays(order,
-      Array.tabulate(5)(v => if (v == 0) scrambled.clone else Array(v)),
-      Array.tabulate(5)(v => if (v == 0) scrambled.map(10 + _) else Array(0)),
-      Array.tabulate(5)(v => if (v == 0) scrambled.map(100L * _) else Array(1L)))
-    assert(idx.hubs(0).toSeq == order.toSeq)
-    assert(idx.dists(0).toSeq == order.toSeq.map(10 + _))
-    assert(idx.cnts(0).toSeq == order.toSeq.map(100L * _))
-
-    val t = tableIIIndex
-    for (v <- 0 until 10) {
-      val ranks = t.hubs(v).map(t.rank)
-      assert(ranks.toSeq == ranks.sorted.toSeq, s"vertex $v")
-      assert(t.labelOf(v).toSet == TestUtil.tableII(v), s"vertex $v")
-    }
-  }
-
   test("a label list holding the same hub twice is rejected") {
-    val e = intercept[IllegalArgumentException](
-      indexOf(Array(0, 1))(Seq((0, 0, 1L), (1, 1, 1L), (0, 2, 1L)), Seq((1, 0, 1L))))
-    assert(e.getMessage.contains("vertex 0 holds hub 0 twice"))
-  }
-
-  test("a label list holding the same hub twice is rejected when sorted on four workers") {
-    // the bad list sits among many good ones, so the pool splits the work
-    val n = 500
-    val order = Array.range(0, n)
-    val hubs = Array.tabulate(n)(v => if (v == 321) Array(0, v, 0) else Array(0, v).distinct)
-    val workers = new Workers(4)
-    val e =
-      try intercept[IllegalArgumentException](
-        LabelIndex.fromArrays(order, hubs, hubs.map(_.map(_ => 1)), hubs.map(_.map(_ => 1L)),
-          workers = workers))
-      finally workers.close()
-    assert(e.getMessage.contains("vertex 321 holds hub 0 twice"))
+    // rank lists straight to the constructor; under this order rank 1 is
+    // vertex 0, so the message names the hub as a vertex
+    val order = Array(1, 0)
+    def rejected(list0: Array[Int]): String = intercept[IllegalArgumentException](
+      new LabelIndex(order, Array(list0, Array(0)), Array(list0.map(_ => 1), Array(0)),
+        Array(list0.map(_ => 1L), Array(1L)))).getMessage
+    assert(rejected(Array(0, 1, 1)).contains("vertex 0 holds hub 0 twice"))
+    assert(rejected(Array(1, 0)).contains("vertex 0 is not ascending in hub rank"))
+    assert(rejected(Array(-1, 1)).contains("vertex 0 holds hub rank -1, outside 0 until 2"))
+    assert(rejected(Array(0, 2)).contains("vertex 0 holds hub rank 2, outside 0 until 2"))
   }
 
   test("query reproduces the paper's Example 1: SPC(v10, v7) = 4 at distance 3") {
@@ -102,17 +81,20 @@ class LabelIndexSuite extends AnyFunSuite {
   }
 
   test("hub weight multiplies only when the hub is interior") {
-    val order = Array(0, 1, 2)
-    val lists = indexOf(order)(
-      Seq((0, 0, 1L), (1, 1, 1L)),
-      Seq((1, 0, 1L)),
-      Seq((1, 1, 1L), (2, 0, 1L)),
-    )
-    val idx = new LabelIndex(order, lists.hubs, lists.dists, lists.cnts, Array(1L, 4L, 1L))
-    // hub 1 interior between 0 and 2: weight applies
-    assert(idx.query(0, 2) == ((2, 4L)))
-    // hub 1 is an endpoint of (0,1): weight must not apply
-    assert(idx.query(0, 1) == ((1, 1L)))
+    // vertex 1 weighs 4; under the second order it has rank 0, so a weight
+    // lookup or an endpoint test on the rank instead of the vertex shows
+    for (order <- Seq(Array(0, 1, 2), Array(1, 2, 0))) {
+      val lists = indexOf(order)(
+        Seq((0, 0, 1L), (1, 1, 1L)),
+        Seq((1, 0, 1L)),
+        Seq((1, 1, 1L), (2, 0, 1L)),
+      )
+      val idx = new LabelIndex(order, lists.hubs, lists.dists, lists.cnts, Array(1L, 4L, 1L))
+      // hub 1 interior between 0 and 2: weight applies
+      assert(idx.query(0, 2) == ((2, 4L)), s"order ${order.toSeq}")
+      // hub 1 is an endpoint of (0,1): weight must not apply
+      assert(idx.query(0, 1) == ((1, 1L)), s"order ${order.toSeq}")
+    }
   }
 
   test("entryCount and size accounting") {

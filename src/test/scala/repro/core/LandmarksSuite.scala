@@ -63,7 +63,7 @@ class LandmarksSuite extends AnyFunSuite {
     // every hub that is not a landmark is undecided, at every distance
     val g = GraphGen.cycle(12)
     val lm = new Landmarks(g, 1, idRank(g))
-    for (w <- 0 until g.n if !lm.vertices.contains(w); u <- 0 until g.n; d <- 1 to g.diameter + 1)
+    for (w <- 0 until g.n if !lm.vertices.contains(w); u <- 0 until g.n; d <- 1 to TestUtil.diameter(g) + 1)
       assert(lm.decide(w, u, d) == -1, s"($w,$u) at distance $d")
   }
 

@@ -241,7 +241,7 @@ class PspcSuite extends AnyFunSuite {
   test("rounds never exceed the diameter") {
     val g = GraphGen.path(12)
     val (_, stats) = Pspc.build(g, VertexOrder.degreeOrder(g))
-    assert(stats.rounds <= g.diameter)
+    assert(stats.rounds <= TestUtil.diameter(g))
   }
 
   test("the round count equals the largest label distance (stop rule)") {

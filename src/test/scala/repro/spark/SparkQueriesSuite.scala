@@ -72,14 +72,14 @@ class SparkQueriesSuite extends SparkSpec {
   test("oracle: index query results equal the DuckDB walk-counting ground truth (paper example)") {
     val g = Graph.paperExample
     val idx = Pspc.build(g, Graph.paperExampleOrder)._1
-    Oracle.assertEquivalent(offDiagonalAnswers(g, idx), groundTruthSql(g.diameter),
+    Oracle.assertEquivalent(offDiagonalAnswers(g, idx), groundTruthSql(TestUtil.diameter(g)),
                             "edges" -> edgesDF(g))
   }
 
   test("oracle: index query results equal the walk-counting ground truth (tiny random graph)") {
     val g = GraphGen.largestComponent(GraphGen.erdosRenyi(14, 22, seed = 9))
     val idx = Pspc.build(g, VertexOrder.degreeOrder(g))._1
-    Oracle.assertEquivalent(offDiagonalAnswers(g, idx), groundTruthSql(g.diameter),
+    Oracle.assertEquivalent(offDiagonalAnswers(g, idx), groundTruthSql(TestUtil.diameter(g)),
                             "edges" -> edgesDF(g))
   }
 
