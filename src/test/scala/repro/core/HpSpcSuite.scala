@@ -98,6 +98,44 @@ class HpSpcSuite extends AnyFunSuite {
     assert(g.deg(order.head) == (0 until g.n).map(g.deg).max)
   }
 
+  // Significant-path orders and entry counts recorded from the builder that
+  // refilled `parent`/`des` on all n vertices per hub and scanned all n for
+  // the next one. The tree's tail of ascending leaf ids is the highest-degree
+  // fallback firing; a changed tie-break or fallback shows up here.
+  private val goldenSignificantPath = Seq(
+    (GraphGen.roadGrid(12, 12, 0.12, 3), 3226L, Seq(
+      13, 128, 116, 103, 91, 79, 78, 66, 54, 42, 41, 39, 27, 28, 40, 64, 76, 109, 110, 98, 86, 87,
+      75, 63, 51, 49, 37, 25, 15, 17, 18, 21, 20, 44, 56, 68, 81, 69, 57, 45, 32, 33, 35, 47, 59,
+      106, 94, 95, 71, 70, 58, 14, 2, 22, 10, 6, 7, 19, 30, 31, 43, 16, 3, 4, 5, 34, 46, 50, 60,
+      72, 84, 122, 111, 112, 113, 101, 114, 126, 125, 124, 123, 136, 135, 121, 120, 61, 73, 85,
+      96, 97, 62, 74, 65, 77, 90, 89, 88, 80, 93, 92, 104, 105, 99, 100, 102, 115, 138, 127, 139,
+      140, 118, 117, 130, 129, 141, 131, 143, 142, 9, 8, 24, 12, 29, 38, 52, 53, 55, 67, 83, 82,
+      108, 133, 132, 134, 137, 1, 0, 11, 23, 26, 36, 48, 119, 107)),
+    (GraphGen.chungLu(200, 6.0, 2.5, 7), 6328L, Seq(
+      2, 4, 1, 3, 14, 5, 27, 8, 7, 16, 0, 41, 10, 29, 23, 12, 17, 9, 25, 6, 26, 21, 28, 89, 70, 11,
+      13, 36, 20, 30, 110, 31, 49, 46, 32, 90, 84, 67, 99, 43, 45, 163, 34, 65, 107, 120, 19, 157,
+      18, 95, 75, 72, 77, 37, 83, 42, 182, 39, 53, 166, 61, 48, 22, 81, 160, 127, 124, 105, 50,
+      66, 141, 54, 117, 128, 102, 44, 114, 91, 108, 169, 40, 115, 196, 164, 103, 132, 172, 51,
+      33, 111, 145, 170, 15, 79, 57, 78, 146, 156, 150, 119, 88, 85, 24, 131, 154, 136, 64, 35,
+      162, 122, 168, 191, 198, 161, 38, 76, 59, 176, 60, 56, 74, 113, 123, 126, 143, 62, 47, 153,
+      80, 69, 185, 94, 58, 98, 130, 140, 186, 125, 68, 73, 92, 104, 106, 193, 121, 165, 181, 137,
+      129, 135, 178, 139, 155, 144, 152, 177, 158, 167, 175, 52, 55, 82, 93, 100, 101, 112, 116,
+      118, 138, 148, 159, 180, 188, 195, 71, 86, 87, 97, 197, 109, 133, 142, 149, 151, 173, 179,
+      184, 187, 189, 190, 192, 194, 63, 96, 134, 147, 171, 174, 183, 199)),
+    (GraphGen.randomTree(60, 5), 308L, Seq(
+      13, 0, 2, 17, 29, 20, 26, 36, 8, 6, 1, 5, 22, 33, 40, 3, 23, 31, 28, 46, 4, 14, 11, 25, 7,
+      18, 58, 9, 34, 48, 12, 35, 19, 43, 21, 32, 37, 38, 45, 50, 53, 55, 56, 57, 10, 15, 16, 24,
+      27, 30, 39, 41, 42, 44, 47, 49, 51, 52, 54, 59)),
+  )
+
+  test("significant-path order matches the recorded order on a road grid, a Chung-Lu graph and a tree") {
+    for (((g, entries, order), i) <- goldenSignificantPath.zipWithIndex) {
+      val (idx, built) = HpSpc.buildWithSignificantPathOrder(g)
+      assert(built.toSeq == order, s"graph $i")
+      assert(idx.entryCount == entries, s"graph $i")
+    }
+  }
+
   test("weighted graph: labels honour interior multiplicities") {
     val g = TestUtil.weightedPath
     val idx = HpSpc.build(g, VertexOrder.degreeOrder(g))
