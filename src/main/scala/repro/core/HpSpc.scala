@@ -27,7 +27,7 @@ object HpSpc {
     val s = new State(g.n)
     var r = 0
     while (r < order.length) {
-      prunedBfs(g, order(r), r, s, wantTree = false)
+      prunedBfs(g, order(r), r, s)
       s.processed(order(r)) = true
       r += 1
     }
@@ -40,19 +40,61 @@ object HpSpc {
     */
   def buildWithSignificantPathOrder(g: Graph): (LabelIndex, Array[Int]) = {
     val s = new State(g.n)
+    val next = new SignificantPath(g)
     val order = new Array[Int](g.n)
-    // w1 = highest-degree vertex
-    var h = (0 until g.n).maxBy(v => (g.deg(v), -v))
+    var reached = 0 // no BFS yet: w1 is the highest-degree vertex
     var r = 0
     while (r < g.n) {
+      val h = next(s, reached)
       order(r) = h
-      prunedBfs(g, h, r, s, wantTree = true)
+      reached = prunedBfs(g, h, r, s)
       s.processed(h) = true
       r += 1
-      if (r < g.n)
-        h = VertexOrder.nextSignificantHub(g, h, s.parent, s.des, s.processed)
     }
     (s.toIndex(order, g.weight), order)
+  }
+
+  /** The significant-path rule of [17], `O(reached)` per hub. The last
+    * pruned BFS left its `reached` vertices in `s.queue` in BFS order, root
+    * first, with their tree parents in `s.parent`; `des(v)` counts `v` and
+    * the descendants of its unpruned children (a pruned vertex is a leaf).
+    * The significant path follows the child with most descendants (ties to
+    * the lower id) from the root to a leaf, and the next hub is its vertex
+    * maximising `deg(v) * (des(parent(v)) - des(v))`, ties to the lower id.
+    * When the root has no child, it is the unranked vertex of highest
+    * degree, lowest id: a cursor into the degree order that only moves on.
+    */
+  private[core] final class SignificantPath(g: Graph) {
+    private val des = new Array[Int](g.n)
+    private val child = new Array[Int](g.n) // the child with the most descendants, -1 for none
+    private val byDegree = VertexOrder.degreeOrder(g)
+    private var cursor = 0
+
+    def apply(s: State, reached: Int): Int = {
+      import s.{parent, pruned, queue}
+      var k = 0
+      while (k < reached) { des(queue(k)) = 1; child(queue(k)) = -1; k += 1 }
+      k = reached - 1
+      while (k > 0) { // children after parents: each des(u) is final when u is read
+        val u = queue(k); val p = parent(u)
+        if (!pruned(u)) des(p) += des(u)
+        val c = child(p)
+        if (c < 0 || des(u) > des(c) || (des(u) == des(c) && u < c)) child(p) = u
+        k -= 1
+      }
+      var best = -1; var bestScore = -1L
+      var v = if (reached > 0) child(queue(0)) else -1
+      while (v >= 0) {
+        val score = g.deg(v).toLong * (des(parent(v)) - des(v))
+        if (score > bestScore || (score == bestScore && v < best)) { best = v; bestScore = score }
+        v = child(v)
+      }
+      if (best < 0) {
+        while (s.processed(byDegree(cursor))) cursor += 1
+        best = byDegree(cursor)
+      }
+      best
+    }
   }
 
   /** One build's state: the labels `(hub rank, dist, cnt)` grown so far
@@ -67,8 +109,7 @@ object HpSpc {
     val processed: Array[Boolean] = new Array[Boolean](n)
     val dist: Array[Int] = Array.fill(n)(-1)
     val cnt: Array[Long] = new Array[Long](n)
-    val parent: Array[Int] = Array.fill(n)(-1)
-    val des: Array[Int] = new Array[Int](n)
+    val parent: Array[Int] = new Array[Int](n)
     val pruned: Array[Boolean] = new Array[Boolean](n)
     val queue: Array[Int] = new Array[Int](n)
     val tmpDist: Array[Int] = Array.fill(n)(-1) // hub rank -> dist(h, hub), for O(|L(u)|) queries
@@ -82,18 +123,12 @@ object HpSpc {
   }
 
   /** One pruned BFS sourced at `h`, of rank `r`; appends this iteration's
-    * labels, with hub `r`, to `s`. When `wantTree`, also records the BFS
-    * tree parents and subtree descendant counts in `s` (for the
-    * significant-path order).
+    * labels, with hub `r`, to `s`. Returns the number of vertices reached,
+    * which it leaves in `s.queue` in BFS order, each but `h` with its BFS
+    * tree parent in `s.parent` (for the significant-path order).
     */
-  private def prunedBfs(g: Graph, h: Int, r: Int, s: State, wantTree: Boolean): Unit = {
+  private def prunedBfs(g: Graph, h: Int, r: Int, s: State): Int = {
     import s._
-    if (wantTree) {
-      // the significant-path order reads parent/des for exactly this BFS:
-      // clear stale values from the previous iteration
-      java.util.Arrays.fill(parent, -1)
-      java.util.Arrays.fill(des, 0)
-    }
     // load L(h) into the rank->dist table for constant-time query terms
     val lh = hubs(h); val ld = dists(h)
     var i = 0
@@ -101,8 +136,7 @@ object HpSpc {
     tmpDist(r) = 0
 
     var head = 0; var tail = 0
-    var touched = 0
-    dist(h) = 0; cnt(h) = 1L; parent(h) = -1; pruned(h) = false
+    dist(h) = 0; cnt(h) = 1L; pruned(h) = false
     queue(tail) = h; tail += 1
     addLabel(h, r, 0, 1L)
     var levelEnd = tail
@@ -150,28 +184,12 @@ object HpSpc {
       levelEnd = tail
       d += 1
     }
-    // descendant counts for the significant-path order (labeled vertices)
-    if (wantTree) {
-      var k = tail - 1
-      while (k >= 0) { des(queue(k)) = 1; k -= 1 }
-      k = tail - 1
-      while (k > 0) {
-        val u = queue(k)
-        if (!pruned(u) && parent(u) >= 0) des(parent(u)) += des(u)
-        k -= 1
-      }
-    }
     // reset scratch for the vertices we touched
-    touched = tail
     var k = 0
-    while (k < touched) {
-      val u = queue(k)
-      dist(u) = -1; cnt(u) = 0L
-      if (!wantTree) parent(u) = -1
-      k += 1
-    }
+    while (k < tail) { dist(queue(k)) = -1; cnt(queue(k)) = 0L; k += 1 }
     i = 0
     while (i < lh.len) { tmpDist(lh(i)) = -1; i += 1 }
     tmpDist(r) = -1
+    tail
   }
 }

@@ -19,22 +19,17 @@ import repro.order.VertexOrder
   *    sweep over all landmarks costs more than the scan it would replace).
   *
   * The `k` BFSs are independent and run on `workers`, one landmark per
-  * task; the default single worker runs them inline. The distances are
-  * stored vertex-major, one row of `k` per vertex, so `n * k` must fit one
-  * array; a larger table fails the constructor.
+  * task, each into its own distance array; the default single worker runs
+  * them inline.
   *
   * @param rank the build's rank of every vertex: [[decide]] takes hubs as
   *             ranks, as the PSPC kernel stores them
   */
 final class Landmarks(g: Graph, val k: Int, rank: Array[Int], workers: Workers = new Workers(1))
     extends Serializable {
-  require(g.n.toLong * math.min(k, g.n) <= Int.MaxValue - 8,
-    s"a landmark table of ${g.n} vertices x $k landmarks does not fit one array")
 
   /** Landmark vertices: the first `k` of the degree order. */
   val vertices: Array[Int] = VertexOrder.degreeOrder(g).take(k)
-
-  private val width: Int = vertices.length
 
   /** The landmark index of each hub rank, -1 for a rank that is no landmark. */
   private val landmarkIdx: Array[Int] = {
@@ -43,40 +38,15 @@ final class Landmarks(g: Graph, val k: Int, rank: Array[Int], workers: Workers =
     a
   }
 
-  /** Distances, vertex-major: `table(v * width + i)` is the exact distance
-    * from landmark `i` to `v` (-1 unreachable), so the lookups of one pull
-    * share one row. Every worker reuses one BFS queue.
-    *
-    * One worker reuses one distance array and copies each BFS into its
-    * column. Several workers instead fill one array per landmark and then
-    * transpose them by row ranges, so each row is written by one worker. On
-    * `pspcbench`'s `road` input (100 landmarks, 4 vCPU) the column copies
-    * took ~15 ms on 4 workers against ~12 ms with the transpose, and 37–45
-    * ms on 1 worker against 44–58 ms.
+  /** `table(i)(v)` is the exact distance from landmark `i` to `v` (-1
+    * unreachable). Every worker reuses one BFS queue.
     */
-  private val table: Array[Int] = {
-    val n = g.n
-    val t = new Array[Int](n * width)
-    val queues = Array.fill(workers.count)(new Array[Int](n))
-    if (workers.count == 1) {
-      val a = Array.fill(n)(-1)
-      var i = 0
-      while (i < width) { Landmarks.copyColumn(g, vertices(i), a, queues(0), t, i, width); i += 1 }
-    } else {
-      val byLandmark = new Array[Array[Int]](width)
-      workers.dynamic(width, 1) { (w, from, until) =>
-        var i = from
-        while (i < until) { byLandmark(i) = Array.fill(n)(-1); g.bfs(vertices(i), byLandmark(i), queues(w)); i += 1 }
-      }
-      workers.dynamic(n, 1024) { (_, from, until) =>
-        var i = 0
-        while (i < width) {
-          val a = byLandmark(i)
-          var v = from
-          while (v < until) { t(v * width + i) = a(v); v += 1 }
-          i += 1
-        }
-      }
+  private val table: Array[Array[Int]] = {
+    val t = new Array[Array[Int]](vertices.length)
+    val queues = Array.fill(workers.count)(new Array[Int](g.n))
+    workers.dynamic(t.length, 1) { (w, from, until) =>
+      var i = from
+      while (i < until) { t(i) = Array.fill(g.n)(-1); g.bfs(vertices(i), t(i), queues(w)); i += 1 }
     }
     t
   }
@@ -84,7 +54,7 @@ final class Landmarks(g: Graph, val k: Int, rank: Array[Int], workers: Workers =
   /** Exact distance from landmark `i` (the vertex `vertices(i)`) to `v`,
     * or -1 if `v` is unreachable from it.
     */
-  def dist(i: Int, v: Int): Int = table(v * width + i)
+  def dist(i: Int, v: Int): Int = table(i)(v)
 
   /** Decide the candidate `(w, u, d)`, hub `w` given by its rank, using
     * landmark information only.
@@ -102,26 +72,8 @@ final class Landmarks(g: Graph, val k: Int, rank: Array[Int], workers: Workers =
   @inline def decide(w: Int, u: Int, d: Int): Int = {
     val wi = landmarkIdx(w)
     if (wi >= 0) {
-      val dw = table(u * width + wi)
+      val dw = table(wi)(u)
       if (dw >= 0 && dw < d) 1 else 0
     } else -1
-  }
-}
-
-private object Landmarks {
-
-  /** BFS from `source` in `dist` (all -1 on entry and on return), with
-    * the distances copied into column `i` of the `width`-wide `table`. It
-    * is a method, not a loop in the class body, because the JIT compiled
-    * the class-body loop poorly: a one-worker social table took ~63 ms
-    * there against ~37 ms here.
-    */
-  def copyColumn(g: Graph, source: Int, dist: Array[Int], queue: Array[Int], table: Array[Int], i: Int,
-      width: Int): Unit = {
-    val reached = g.bfs(source, dist, queue)
-    var v = 0
-    while (v < g.n) { table(v * width + i) = dist(v); v += 1 }
-    var r = 0
-    while (r < reached) { dist(queue(r)) = -1; r += 1 }
   }
 }

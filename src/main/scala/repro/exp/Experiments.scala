@@ -38,7 +38,9 @@ object Experiments {
       queryUs: Double,
   )
 
-  /** Everything Exp 1/2/3 need for one dataset. */
+  /** Everything Exp 1/2/3 need for one dataset; `hpSig*` is HP-SPC under
+    * the significant-path order, whose build also chooses the order.
+    */
   final case class DatasetResult(
       spec: DatasetSpec,
       n: Int,
@@ -46,6 +48,8 @@ object Experiments {
       avgDeg: Double,
       orderMs: Double,
       hp: AlgoRow,
+      hpSigMs: Double,
+      hpSigEntries: Long,
       pspc1: AlgoRow,
       pspcP: AlgoRow,
   )
@@ -55,19 +59,23 @@ object Experiments {
   /** Number of random queries for Exp 3 (paper: 100k; scaled: 20k). */
   val QueryCount = 20000
 
+  /** Microseconds per query of `queries` answered as one batch: the median
+    * of 5 batches, so one JIT or scheduler pause does not decide a cell.
+    */
   private def measureQueries(
       idx: LabelIndex,
       queries: Array[(Int, Int)],
       threads: Int,
   ): Double = {
-    val (_, ms) = timeMs(QueryEngine.batch(idx, queries, threads))
-    ms * 1000.0 / queries.length // microseconds per query
+    val ms = Array.fill(5)(timeMs(QueryEngine.batch(idx, queries, threads))._2)
+    java.util.Arrays.sort(ms)
+    ms(2) * 1000.0 / queries.length
   }
 
-  /** Build HP-SPC_s, PSPC(1T) and PSPC⁺(MaxThreads) on the analogue of
-    * `spec` and measure index time, size and mean query time. Every index
-    * time is the ordering time plus the build's wall clock, which includes
-    * the final `LabelIndex` assembly.
+  /** Build HP-SPC_s, HP-SPC under the significant-path order, PSPC(1T) and
+    * PSPC⁺(MaxThreads) on the analogue of `spec` and measure index time,
+    * size and mean query time. Every index time is the ordering time plus
+    * the build's wall clock, which includes the final `LabelIndex` assembly.
     */
   def datasetResult(spec: DatasetSpec, scale: Double = 1.0): DatasetResult =
     cache.getOrElseUpdate(
@@ -78,6 +86,7 @@ object Experiments {
 
         val (hpIdx, hpMs) = timeMs(HpSpc.build(g, order))
         val hpQ = measureQueries(hpIdx, queries, 1)
+        val ((sigIdx, _), sigMs) = timeMs(HpSpc.buildWithSignificantPathOrder(g))
 
         val ((p1Idx, _), p1Ms) = timeMs(
           Pspc.build(g, order, threads = 1, numLandmarks = DefaultLandmarks)
@@ -93,6 +102,7 @@ object Experiments {
         DatasetResult(
           spec, g.n, g.m.toLong, g.avgDeg, orderMs,
           AlgoRow("HP-SPC_s", orderMs + hpMs, hpIdx.sizeMB, hpIdx.entryCount, hpQ),
+          sigMs, sigIdx.entryCount,
           AlgoRow("PSPC", orderMs + p1Ms, p1Idx.sizeMB, p1Idx.entryCount, p1Q),
           AlgoRow("PSPC+", orderMs + ppMs, ppIdx.sizeMB, ppIdx.entryCount, ppQ),
         )

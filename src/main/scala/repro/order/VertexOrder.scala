@@ -1,13 +1,14 @@
 package repro.order
 
 import repro.graph.Graph
-import scala.collection.mutable
 
 /** Vertex ordering strategies (paper §III-G).
   *
   * An order is an array `order(rank) = vertex` with rank 0 the highest;
   * `rankOf` inverts it. The order decides which vertices become hubs early
-  * and therefore dominates index size and construction time.
+  * and therefore dominates index size and construction time. The
+  * significant-path order of [17] is chosen while HP-SPC builds, from each
+  * hub's pruned BFS tree, so it lives in [[repro.core.HpSpc]].
   */
 object VertexOrder {
 
@@ -178,52 +179,5 @@ object VertexOrder {
   def hybridOrder(g: Graph, delta: Int): Array[Int] = {
     val fringe = Array.tabulate(g.n)(g.deg(_) <= delta)
     byDescendingDegree(g, Array.range(0, g.n).filter(!fringe(_))) ++ eliminationOrder(g, fringe)
-  }
-
-  /** Significant-path-based scheme (from [17], reviewed in §III-G): the
-    * next hub is chosen from the partial shortest-path tree of the current
-    * hub's pruned BFS — an inherently sequential coupling. The tree is
-    * supplied by the HP-SPC construction via `spTree` (parents and
-    * descendant counts of the last pruned BFS); this object only implements
-    * the selection rule so `HpSpc` can drive it.
-    *
-    * Given the tree rooted at `w`: follow the child with most descendants
-    * to a leaf (the significant path), then among unranked path vertices
-    * pick the one maximizing `deg(v) * (des(parent(v)) - des(v))`.
-    */
-  def nextSignificantHub(
-      g: Graph,
-      root: Int,
-      parent: Array[Int],
-      des: Array[Int],
-      ranked: Array[Boolean],
-  ): Int = {
-    // children lists of the SP tree
-    val children = Array.fill(g.n)(List.empty[Int])
-    var v = 0
-    while (v < g.n) {
-      if (parent(v) >= 0 && v != root) children(parent(v)) ::= v
-      v += 1
-    }
-    // walk the significant path
-    val path = mutable.ArrayBuffer.empty[Int]
-    var cur = root
-    while (children(cur).nonEmpty) {
-      cur = children(cur).maxBy(c => (des(c), -c))
-      path += cur
-    }
-    val candidates = path.filterNot(ranked)
-    if (candidates.nonEmpty)
-      candidates.maxBy(v => (g.deg(v).toLong * (des(parent(v)) - des(v)), -v))
-    else {
-      // fall back to the unranked vertex of highest degree
-      var best = -1
-      var u = 0
-      while (u < g.n) {
-        if (!ranked(u) && (best < 0 || g.deg(u) > g.deg(best))) best = u
-        u += 1
-      }
-      best
-    }
   }
 }

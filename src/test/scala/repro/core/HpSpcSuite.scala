@@ -136,6 +136,49 @@ class HpSpcSuite extends AnyFunSuite {
     }
   }
 
+  /** `s` as a pruned BFS from `queue.head` leaves it for the selection rule:
+    * the reached vertices in BFS order, their tree parents and the pruned
+    * ones; `ranked` and the root are processed.
+    */
+  private def bfsTree(s: HpSpc.State, queue: Seq[Int], parent: Map[Int, Int], pruned: Set[Int] = Set.empty,
+      ranked: Set[Int] = Set.empty): Int = {
+    queue.zipWithIndex.foreach { case (v, k) => s.queue(k) = v }
+    parent.foreach { case (v, p) => s.parent(v) = p }
+    java.util.Arrays.fill(s.pruned, false)
+    pruned.foreach(s.pruned(_) = true)
+    (ranked + queue.head).foreach(s.processed(_) = true)
+    queue.length
+  }
+
+  test("significant-path selection picks from the significant path") {
+    // tree 0 -> {1, 2}, 1 -> {3, 4}, 2 -> 5 -> 6; edges to the ranked 7..11
+    // set deg(3) = 6
+    val g = Graph.fromEdges(12, Seq(0 -> 1, 0 -> 2, 1 -> 3, 1 -> 4, 2 -> 5, 5 -> 6) ++ (7 to 11).map(3 -> _))
+    val queue = Seq(0, 1, 2, 3, 4, 5, 6)
+    val parent = Map(1 -> 0, 2 -> 0, 3 -> 1, 4 -> 1, 5 -> 2, 6 -> 5)
+    val ranked = (7 to 11).toSet
+    // des: 0 = 7, 1 = 3, 2 = 3, 3 = 1. Ties to the lower id pick the path
+    // 0, 1, 3, whose scores tie too: 3 * (7 - 3) = 6 * (3 - 1)
+    val s = new HpSpc.State(g.n)
+    val reached = bfsTree(s, queue, parent, ranked = ranked)
+    assert(new HpSpc.SignificantPath(g)(s, reached) == 1)
+    // a pruned 4 adds nothing to des(1) = 2 < des(2) = 3, so the path is
+    // 0, 2, 5, 6, scoring 2 * (6 - 3), 2 * (3 - 2) and 1 * (2 - 1)
+    bfsTree(s, queue, parent, pruned = Set(4), ranked = ranked)
+    assert(new HpSpc.SignificantPath(g)(s, reached) == 2)
+  }
+
+  test("significant-path selection falls back to the highest-degree unranked vertex") {
+    // star 3 -> {0, 1, 2} and the triangle 4, 5, 6: degrees 3, then 2, 2, 2
+    val g = Graph.fromEdges(7, Seq(3 -> 0, 3 -> 1, 3 -> 2, 4 -> 5, 5 -> 6, 6 -> 4))
+    val s = new HpSpc.State(g.n)
+    val next = new HpSpc.SignificantPath(g)
+    assert(next(s, 0) == 3) // before any BFS: w1
+    // the BFSs from 0 and then 1 reach only their root, since 3 is ranked
+    assert(next(s, bfsTree(s, Seq(0), Map.empty, ranked = Set(3))) == 4)
+    assert(next(s, bfsTree(s, Seq(1), Map.empty, ranked = Set(4))) == 5)
+  }
+
   test("weighted graph: labels honour interior multiplicities") {
     val g = TestUtil.weightedPath
     val idx = HpSpc.build(g, VertexOrder.degreeOrder(g))

@@ -15,7 +15,8 @@ class ExperimentsSuite extends AnyFunSuite {
     assert(r.n >= 100 && r.m > 0)
     // paper Exp 2: PSPC and PSPC+ indexes are identical
     assert(r.pspc1.entries == r.pspcP.entries)
-    assert(r.hp.indexMs > 0 && r.pspc1.indexMs > 0 && r.pspcP.indexMs > 0)
+    assert(r.hp.indexMs > 0 && r.hpSigMs > 0 && r.pspc1.indexMs > 0 && r.pspcP.indexMs > 0)
+    assert(r.hpSigEntries >= r.n) // every vertex labels itself
     assert(r.hp.queryUs > 0 && r.pspcP.queryUs > 0)
   }
 

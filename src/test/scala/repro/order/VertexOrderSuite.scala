@@ -138,22 +138,4 @@ class VertexOrderSuite extends AnyFunSuite {
     assert(VertexOrder.hybridOrder(goldenRoad, 4).toSeq == roadHybrid4)
     assert(VertexOrder.hybridOrder(goldenTree, 4).toSeq == treeHybrid4)
   }
-
-  test("nextSignificantHub picks from the significant path") {
-    // star: root 0, BFS tree has all leaves as children
-    val g = GraphGen.star(6)
-    val parent = Array(-1, 0, 0, 0, 0, 0)
-    val des = Array(6, 1, 1, 1, 1, 1)
-    val ranked = Array(true, false, false, false, false, false)
-    val nxt = VertexOrder.nextSignificantHub(g, 0, parent, des, ranked)
-    assert(nxt >= 1 && nxt <= 5)
-  }
-
-  test("nextSignificantHub falls back to highest-degree unranked vertex") {
-    val g = GraphGen.star(6)
-    val parent = Array.fill(6)(-1) // empty tree
-    val des = Array.fill(6)(0)
-    val ranked = Array(false, true, true, true, true, true)
-    assert(VertexOrder.nextSignificantHub(g, 1, parent, des, ranked) == 0)
-  }
 }
