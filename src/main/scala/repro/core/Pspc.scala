@@ -51,8 +51,8 @@ object Pspc {
 
   /** Per-worker scratch for [[Kernel]], indexed by hub rank: a dense
     * rank->dist table of L(u) and candidate accumulators, both reset via
-    * touch lists, a bitmap that orders the survivors, and the survivors of
-    * the last vertex the kernel processed.
+    * touch lists, and a bitmap that orders the survivors. It also stages
+    * the survivors of the worker's pulls until the round's appends.
     */
   final class Scratch(n: Int) {
     val tmpDist: Array[Int] = Array.fill(n)(-1)
@@ -60,38 +60,33 @@ object Pspc {
     val candList: IntBuf = new IntBuf(64)
     /** One bit per hub rank, all clear between pulls. */
     val rankBits: Array[Long] = new Array[Long]((n + 63) >>> 6)
-    /** The survivors' hub ranks, strictly ascending, and their counts. */
-    val outHubs: IntBuf = new IntBuf(8)
-    val outCnts: LongBuf = new LongBuf(8)
+    /** The staged blocks, one `(vertex, end)` pair each: block `i` is the
+      * survivors of vertex `staged(2i)`, at `hubs`/`cnts` indices from the
+      * end of block `i-1` (0 for the first) to `staged(2i+1)`, strictly
+      * ascending in hub rank. No vertex has two blocks, and none is empty.
+      */
+    val staged: IntBuf = new IntBuf(16)
+    val hubs: IntBuf = new IntBuf(64)
+    val cnts: LongBuf = new LongBuf(64)
+
+    /** Stage the blocks `blocks` (same layout as `staged`, ends relative to
+      * `h` and `c`) after those already staged.
+      */
+    def stage(blocks: Array[Int], h: Array[Int], c: Array[Long]): Unit = {
+      val base = hubs.len
+      var i = 0
+      while (i < blocks.length) { staged += blocks(i); staged += base + blocks(i + 1); i += 2 }
+      i = 0
+      while (i < h.length) { hubs += h(i); cnts += c(i); i += 1 }
+    }
   }
 
-  /** Where a round's pull phase hands over vertex `u`'s survivors
-    * `(hub ranks, cnts)`, as `pull` leaves them: strictly ascending in hub
-    * rank. They become `u`'s entries once the round's last pull is done.
-    * `u` must be in the round's [[Frontier]]; empty survivors stage
-    * nothing.
+  /** One round's pull phase: `(d, scratches)` pulls every vertex of the
+    * round's frontier, the vertices `Kernel.flagged`, against the frozen
+    * `L_{<=d-1}`, clears their flags and leaves the survivors staged in
+    * `scratches` (one per worker, any of them).
     */
-  type Stage = (Int, Array[Int], Array[Long]) => Unit
-
-  /** The vertices one round pulls, `apply(0 until size)`, in no particular
-    * order. `cost(i)` is the plan cost of `apply(i)`: the number of
-    * last-round entries in its neighbourhood, which its pull reads.
-    */
-  final class Frontier private[Pspc] (n: Int) {
-    private[Pspc] val vertices: Array[Int] = new Array[Int](n)
-    private[Pspc] val costs: Array[Long] = new Array[Long](n)
-    private[Pspc] var count: Int = 0
-
-    def size: Int = count
-    def apply(i: Int): Int = vertices(i)
-    def cost(i: Int): Long = costs(i)
-    def toArray: Array[Int] = java.util.Arrays.copyOf(vertices, count)
-  }
-
-  /** One round's pull phase: `(d, frontier, stage)` pulls every vertex of
-    * `frontier` against the frozen `L_{<=d-1}` and stages the survivors.
-    */
-  type PullRound = (Int, Frontier, Stage) => Unit
+  type PullRound = (Int, Array[Scratch]) => Unit
 
   /** The label lists of one build, starting at L_0 (every vertex its own
     * hub), and the round kernel over them. Within a round only `pull`
@@ -107,7 +102,7 @@ object Pspc {
     * The arrays' capacity doubles when a round outgrows it, so a round
     * copies no list that has room; `index` merges each list's blocks into
     * exact-length arrays, still of hub ranks, the layout [[LabelIndex]]
-    * stores, and serialisation writes only `[0, len(v))`.
+    * stores, and serialisation writes only `[0, len(v))` and the stamps.
     *
     * @param order     the build's total order, `order(rank) = vertex`
     * @param rank      its inverse
@@ -121,27 +116,34 @@ object Pspc {
     @transient private var cnts: Array[Array[Long]] = Array.fill(n)(Array(1L))
     /** Number of live entries of each list. */
     private val len: Array[Int] = Array.fill(n)(1)
-    /** Round-(d-1) entries of v live at indices [prevStart(v), len(v)).
-      * Each list is in ascending distance with `v` itself at index 0, so
-      * [1, prevStart(v)) holds exactly its entries at distances 1..d-2: the
-      * query rule in `pull` scans only that range and depends on this order.
-      * `rounds` closes a block (`prevStart(v) = len(v)`) one round after it
-      * was appended, so outside the last round's changed vertices the block
-      * is empty.
+    /** `v`'s last block, the entries it gained in round `lastRound(v)`,
+      * lives at indices [prevStart(v), len(v)). Each list is in ascending
+      * distance with `v` itself at index 0 (round 0), so in round `d` the
+      * block holds distance-(d-1) entries iff `lastRound(v) == d-1`; then
+      * [1, prevStart(v)) holds exactly v's entries at distances 1..d-2,
+      * else [1, len(v)) does. `pull` reads and scans only these ranges.
       */
     private val prevStart: Array[Int] = new Array[Int](n)
+    private val stamps: Array[Int] = new Array[Int](n)
+    /** Round `d`'s frontier: the neighbours of the vertices that gained
+      * entries in round `d-1` (every vertex with a neighbour before round 1).
+      * The round's appends set the flags, its pulls clear them; only the
+      * build that owns the kernel reads them, so a copy has none.
+      */
+    @transient private[repro] val flagged: Array[Boolean] = Array.tabulate(n)(g.deg(_) > 0)
 
-    /** Number of `v`'s entries from the last finished round. */
-    def lastRoundSize(v: Int): Int = len(v) - prevStart(v)
+    /** The round in which `v` last gained entries (0 for L_0 only). */
+    def lastRound(v: Int): Int = stamps(v)
 
     /** Pull the distance-`d` candidates of `u` from its neighbours'
-      * round-(d-1) entries (rank rule, Label Elimination, Label Merging),
-      * prune them (landmark filter, query rule), and leave the survivors in
-      * `s.outHubs` / `s.outCnts`, strictly ascending in hub rank.
+      * round-(d-1) blocks (rank rule, Label Elimination, Label Merging),
+      * prune them (landmark filter, query rule), and stage the survivors
+      * in `s` as `u`'s block, strictly ascending in hub rank.
       *
-      * Each neighbour's block is sorted by hub rank, so the entries the
-      * rank rule drops are its suffix from the first hub ranked at or
-      * below `u`, and the scan stops there (DESIGN.md §2).
+      * A neighbour's block is read only if it is stamped `d-1`. It is
+      * sorted by hub rank, so the entries the rank rule drops are its
+      * suffix from the first hub ranked at or below `u`, and the scan stops
+      * there (DESIGN.md §2).
       *
       * @throws ArithmeticException if a survivor's count exceeds a `Long`
       */
@@ -150,22 +152,25 @@ object Pspc {
       val hu = hubs(u); val du = dists(u); val lu = len(u)
       var i = 0
       while (i < lu) { s.tmpDist(hu(i)) = du(i); i += 1 }
-      s.candList.clear(); s.outHubs.clear(); s.outCnts.clear()
+      s.candList.clear()
       g.foreachNbr(u) { v =>
-        val hv = hubs(v); val cv = cnts(v); val lv = len(v)
-        val rv = rank(v); val wv = g.weight(v)
-        var j = prevStart(v)
-        while (j < lv && hv(j) < ru) {
-          val w = hv(j)
-          if (s.tmpDist(w) < 0) {
-            val mult = if (w == rv) 1L else wv
-            if (s.candCnt(w) == 0L) s.candList += w
-            s.candCnt(w) = Counts.add(s.candCnt(w), Counts.mul(cv(j), mult))
+        if (stamps(v) == d - 1) {
+          val hv = hubs(v); val cv = cnts(v); val lv = len(v)
+          val rv = rank(v); val wv = g.weight(v)
+          var j = prevStart(v)
+          while (j < lv && hv(j) < ru) {
+            val w = hv(j)
+            if (s.tmpDist(w) < 0) {
+              val mult = if (w == rv) 1L else wv
+              if (s.candCnt(w) == 0L) s.candList += w
+              s.candCnt(w) = Counts.add(s.candCnt(w), Counts.mul(cv(j), mult))
+            }
+            j += 1
           }
-          j += 1
         }
       }
-      // survivors go to outHubs unordered; their counts stay in candCnt
+      // survivors go to s.hubs unordered from `start`; their counts stay in candCnt
+      val start = s.hubs.len
       var lo = Int.MaxValue; var hi = -1
       var k = 0
       while (k < s.candList.len) {
@@ -174,12 +179,12 @@ object Pspc {
         var verdict = if (landmarks != null) landmarks.decide(w, u, d) else -1
         if (verdict == -1) {
           // query rule: scan L(w) for a common hub x with
-          // dis(u,x) + dis(x,w) < d. Only entries at distances 1..d-2,
-          // [1, prevStart(w)), can: index 0 is w, which Label Elimination
-          // kept out of L(u), and every other x outranks u, so dis(u,x) >= 1.
+          // dis(u,x) + dis(x,w) < d. Only entries at distances 1..d-2 can:
+          // index 0 is w, which Label Elimination kept out of L(u), and
+          // every other x outranks u, so dis(u,x) >= 1.
           val x = order(w)
           val hw = hubs(x); val dw = dists(x)
-          val end = prevStart(x)
+          val end = if (stamps(x) == d - 1) prevStart(x) else len(x)
           var j = 1
           verdict = 0
           while (j < end && verdict == 0) {
@@ -190,30 +195,31 @@ object Pspc {
         }
         if (verdict == 0) {
           if (s.candCnt(w) == Counts.Overflow) throw Counts.overflow(u, order(w))
-          s.outHubs += w
+          s.hubs += w
           if (w < lo) lo = w
           if (w > hi) hi = w
         } else s.candCnt(w) = 0L
         k += 1
       }
-      val m = s.outHubs.len
-      if (m > 1) sortRanks(s, lo, hi)
-      k = 0
-      while (k < m) { val w = s.outHubs(k); s.outCnts += s.candCnt(w); s.candCnt(w) = 0L; k += 1 }
+      val end = s.hubs.len
+      if (end - start > 1) sortRanks(s, start, lo, hi)
+      k = start
+      while (k < end) { val w = s.hubs(k); s.cnts += s.candCnt(w); s.candCnt(w) = 0L; k += 1 }
+      if (end > start) { s.staged += u; s.staged += end }
       i = 0
       while (i < lu) { s.tmpDist(hu(i)) = -1; i += 1 }
     }
 
-    /** Sort the distinct ranks `s.outHubs`, all in `[lo, hi]`, ascending,
-      * without comparisons: set a bit per rank, then read the bits back in
-      * order, one word per 64 ranks of `[lo, hi]`.
+    /** Sort the distinct ranks `s.hubs` from `start` on, all in `[lo, hi]`,
+      * ascending, without comparisons: set a bit per rank, then read the
+      * bits back in order, one word per 64 ranks of `[lo, hi]`.
       */
-    private def sortRanks(s: Scratch, lo: Int, hi: Int): Unit = {
-      val out = s.outHubs.a; val m = s.outHubs.len
+    private def sortRanks(s: Scratch, start: Int, lo: Int, hi: Int): Unit = {
+      val out = s.hubs.a; val end = s.hubs.len
       val bits = s.rankBits
-      var k = 0
-      while (k < m) { val w = out(k); bits(w >>> 6) |= 1L << w; k += 1 }
-      k = 0
+      var k = start
+      while (k < end) { val w = out(k); bits(w >>> 6) |= 1L << w; k += 1 }
+      k = start
       var word = lo >>> 6
       val last = hi >>> 6
       while (word <= last) {
@@ -229,99 +235,60 @@ object Pspc {
       }
     }
 
-    /** Append `u`'s round-`d` survivors and make them its round-`d` block.
-      * The arrays double when they run out of room. Appending round by
-      * round keeps each list in ascending distance with `u` at index 0,
-      * which `prevStart` and the query rule in `pull` depend on; `nh` is
-      * sorted by hub rank, which the rank rule's bound in `pull` and the
-      * merge in `index` depend on.
+    /** Append the blocks staged in `s` as their vertices' round-`d` blocks,
+      * flag every neighbour of those vertices for round `d+1`, and clear
+      * `s`. The arrays double when they run out of room. Appending round by
+      * round keeps each list in ascending distance with `v` at index 0,
+      * which `prevStart` and the query rule in `pull` depend on; each block
+      * is sorted by hub rank, which the rank rule's bound in `pull` and the
+      * merge in `index` depend on. Workers append disjoint vertices; their
+      * flag writes race only to write the same value.
       */
-    private def append(u: Int, d: Int, nh: Array[Int], nc: Array[Long]): Unit = {
-      val old = len(u)
-      val need = old + nh.length
-      if (need > hubs(u).length) {
-        val cap = math.max(need, 2 * hubs(u).length)
-        hubs(u) = java.util.Arrays.copyOf(hubs(u), cap)
-        dists(u) = java.util.Arrays.copyOf(dists(u), cap)
-        cnts(u) = java.util.Arrays.copyOf(cnts(u), cap)
+    private def appendStaged(s: Scratch, d: Int): Unit = {
+      val sh = s.hubs.a; val sc = s.cnts.a
+      var from = 0
+      var i = 0
+      while (i < s.staged.len) {
+        val v = s.staged(i); val until = s.staged(i + 1)
+        val old = len(v)
+        val need = old + until - from
+        if (need > hubs(v).length) {
+          val cap = math.max(need, 2 * hubs(v).length)
+          hubs(v) = java.util.Arrays.copyOf(hubs(v), cap)
+          dists(v) = java.util.Arrays.copyOf(dists(v), cap)
+          cnts(v) = java.util.Arrays.copyOf(cnts(v), cap)
+        }
+        System.arraycopy(sh, from, hubs(v), old, until - from)
+        java.util.Arrays.fill(dists(v), old, need, d)
+        System.arraycopy(sc, from, cnts(v), old, until - from)
+        prevStart(v) = old; len(v) = need; stamps(v) = d
+        g.foreachNbr(v) { u => flagged(u) = true }
+        from = until; i += 2
       }
-      System.arraycopy(nh, 0, hubs(u), old, nh.length)
-      java.util.Arrays.fill(dists(u), old, need, d)
-      System.arraycopy(nc, 0, cnts(u), old, nh.length)
-      prevStart(u) = old
-      len(u) = need
+      s.staged.clear(); s.hubs.clear(); s.cnts.clear()
     }
 
-    /** The round protocol (paper §III). Round `d = 1, 2, …`:
-      *  1. one pass over the neighbours of the vertices that gained entries
-      *     in round `d-1` (every vertex before round 1) builds the frontier
-      *     and sums each frontier vertex's cost;
-      *  2. `pullRound(d, frontier, stage)` pulls the frontier against the
-      *     frozen `L_{<=d-1}` and stages the survivors;
-      *  3. the round-(d-1) blocks are closed, and the staged vertices, the
-      *     round's changed vertices, get their survivors appended on
-      *     `workers`.
-      * Rounds stop at the first one that changes no vertex.
+    /** The round protocol (paper §III). Round `d = 1, 2, …` is two passes
+      * on `workers` with nothing between them:
+      *  1. `pullRound(d, scratches)` pulls the flagged vertices against the
+      *     frozen `L_{<=d-1}` and stages their survivors, each worker in its
+      *     own [[Scratch]];
+      *  2. each worker appends the blocks of one scratch, stamps them `d`
+      *     and flags their vertices' neighbours, the frontier of round `d+1`.
+      * Rounds stop at the first one that stages nothing.
       *
       * @return the number of rounds that added entries
       */
     private[Pspc] def rounds(workers: Workers)(pullRound: PullRound): Int = {
-      val newHubs = new Array[Array[Int]](n)
-      val newCnts = new Array[Array[Long]](n)
-      val stage: Stage = (u, h, c) => if (h.length > 0) { newHubs(u) = h; newCnts(u) = c }
-      val frontier = new Frontier(n)
-      // position of a vertex in the frontier being built, -1 outside it
-      val pos = Array.fill(n)(-1)
-      // the vertices that gained entries in the last round
-      val changed = Array.range(0, n)
-      var nChanged = n
-
-      def buildFrontier(): Unit = {
-        val fv = frontier.vertices; val fc = frontier.costs
-        var f = 0
-        var i = 0
-        while (i < nChanged) {
-          val v = changed(i)
-          val size = lastRoundSize(v)
-          g.foreachNbr(v) { u =>
-            var p = pos(u)
-            if (p < 0) { p = f; pos(u) = p; fv(p) = u; fc(p) = 0L; f += 1 }
-            fc(p) += size
-          }
-          i += 1
-        }
-        frontier.count = f
-        i = 0
-        while (i < f) { pos(fv(i)) = -1; i += 1 }
-      }
-
-      def round(d: Int): Int = {
-        buildFrontier()
-        val f = frontier.count
-        if (f == 0) return 0
-        pullRound(d, frontier, stage)
-        var i = 0
-        while (i < nChanged) { val v = changed(i); prevStart(v) = len(v); i += 1 }
-        nChanged = 0
-        i = 0
-        while (i < f) {
-          val u = frontier.vertices(i)
-          if (newHubs(u) != null) { changed(nChanged) = u; nChanged += 1 }
-          i += 1
-        }
-        workers.dynamic(nChanged, math.max(16, nChanged / (workers.count * 16))) { (_, from, until) =>
-          var k = from
-          while (k < until) {
-            val u = changed(k)
-            append(u, d, newHubs(u), newCnts(u))
-            newHubs(u) = null; newCnts(u) = null
-            k += 1
-          }
-        }
-        nChanged
-      }
+      val scratches = Array.fill(workers.count)(new Scratch(n))
       var d = 1
-      while (round(d) > 0) d += 1
+      while ({ pullRound(d, scratches); scratches.exists(_.staged.len > 0) }) {
+        workers.static(scratches.length) { (_, from, until) =>
+          var t = from
+          while (t < until) { appendStaged(scratches(t), d); t += 1 }
+        }
+        d += 1
+      }
       d - 1
     }
 
@@ -480,57 +447,31 @@ object Pspc {
     } finally workers.close()
   }
 
-  /** The threaded pull phase of `build`: each round pulls the frontier on
-    * the pool. The static schedule splits the frontier, in rank order, into
-    * one equal chunk per worker. The dynamic schedule on more than one
-    * worker sorts the frontier by cost, largest first, and workers grab
-    * small chunks of it; on one worker it pulls the frontier in vertex-id
-    * order, which on road-like graphs keeps consecutive pulls on nearby
-    * label arrays (DESIGN.md §3).
+  /** The threaded pull phase of `build`: each round sweeps `[0, n)` on
+    * the pool and pulls the flagged vertices. The static schedule sweeps
+    * in rank order, one equal range per worker; the dynamic schedule
+    * sweeps in vertex-id order, and workers grab small chunks of it. Id
+    * order keeps consecutive pulls on nearby label arrays on road-like
+    * graphs; the paper's cost-sorted schedule did not pay (DESIGN.md §3).
     */
   private[repro] def threadedPulls(g: Graph, order: Array[Int], schedule: Schedule)(
       workers: Workers, kernel: Kernel): PullRound = {
     val n = g.n
-    val scratches = Array.fill(workers.count)(new Scratch(n))
-    val plan = schedule == DynamicSchedule && workers.count > 1
-    val rank = if (schedule == StaticSchedule) VertexOrder.rankOf(order, n) else null
-    val taskOrder = new Array[Int](n)
-    val planKeys = if (plan) new Array[Long](n) else null
-
-    (d, frontier, stage) => {
-      val f = frontier.size
-      var k = 0
-      if (plan) {
-        // the key (Int.MaxValue - cost) << 32 | u sorts cost descending, ties by id
-        while (k < f) {
-          planKeys(k) = ((Int.MaxValue - math.min(frontier.cost(k), Int.MaxValue)) << 32) | frontier(k)
-          k += 1
-        }
-        java.util.Arrays.sort(planKeys, 0, f)
-        k = 0
-        while (k < f) { taskOrder(k) = planKeys(k).toInt; k += 1 }
-      } else if (rank != null) {
-        while (k < f) { taskOrder(k) = rank(frontier(k)); k += 1 }
-        java.util.Arrays.sort(taskOrder, 0, f)
-        k = 0
-        while (k < f) { taskOrder(k) = order(taskOrder(k)); k += 1 }
-      } else {
-        while (k < f) { taskOrder(k) = frontier(k); k += 1 }
-        java.util.Arrays.sort(taskOrder, 0, f)
-      }
+    val byRank = schedule == StaticSchedule
+    val flagged = kernel.flagged
+    (d, scratches) => {
       val pulls = (tid: Int, from: Int, until: Int) => {
         val s = scratches(tid)
         var k = from
         while (k < until) {
-          val u = taskOrder(k)
-          kernel.pull(u, d, s)
-          if (s.outHubs.len > 0) stage(u, s.outHubs.toArray, s.outCnts.toArray)
+          val u = if (byRank) order(k) else k
+          if (flagged(u)) { flagged(u) = false; kernel.pull(u, d, s) }
           k += 1
         }
       }
       schedule match {
-        case StaticSchedule  => workers.static(f)(pulls)
-        case DynamicSchedule => workers.dynamic(f, math.max(16, f / (workers.count * 16)))(pulls)
+        case StaticSchedule  => workers.static(n)(pulls)
+        case DynamicSchedule => workers.dynamic(n, math.max(16, n / (workers.count * 64)))(pulls)
       }
     }
   }
@@ -544,7 +485,7 @@ object Pspc {
     * @param order        total order, `order(rank) = vertex`; must be a
     *                     permutation of `0 until g.n`
     * @param threads      worker threads (1 = the paper's "PSPC", >1 = "PSPC⁺")
-    * @param schedule     static node-order chunks or cost-based dynamic
+    * @param schedule     static rank-order ranges or dynamic id-order chunks
     * @param numLandmarks 0 disables landmark filtering
     * @throws ArithmeticException if a label's path count exceeds a `Long`
     */

@@ -57,6 +57,16 @@ class PspcSuite extends AnyFunSuite {
     }
   }
 
+  /** The staged blocks of `s` as `(vertex, hub ranks, counts)`. */
+  private def blocksOf(s: Scratch): Seq[(Int, Seq[Int], Seq[Long])] = {
+    var from = 0
+    s.staged.toArray.grouped(2).map { case Array(u, until) =>
+      val block = (u, s.hubs.toArray.slice(from, until).toSeq, s.cnts.toArray.slice(from, until).toSeq)
+      from = until
+      block
+    }.toSeq
+  }
+
   test("round d pulls exactly the vertices with a neighbour labelled at distance d-1") {
     val road = GraphGen.roadGrid(20, 20, 0.12, 3)
     val union = TestUtil.componentUnion
@@ -68,16 +78,21 @@ class PspcSuite extends AnyFunSuite {
     )
     for ((name, g, order) <- inputs; s <- Seq(StaticSchedule, DynamicSchedule); t <- Seq(1, 4))
       withClue(s"$name, $s, $t threads: ") {
-        val frontiers = mutable.ArrayBuffer.empty[(Int, Array[Int])]
+        val frontiers = mutable.ArrayBuffer.empty[(Int, Seq[Int])]
         val (idx, stats) = Pspc.pipeline(g, order, t, numLandmarks = 0) { (workers, kernel) =>
           val pulls = Pspc.threadedPulls(g, order, s)(workers, kernel)
-          (d, frontier, stage) => { frontiers += d -> frontier.toArray; pulls(d, frontier, stage) }
+          (d, scratches) => {
+            frontiers += d -> (0 until g.n).filter(kernel.flagged)
+            pulls(d, scratches)
+            // a pull clears its vertex's flag; only the appends set flags
+            assert(!kernel.flagged.contains(true), s"round $d left a flag set")
+          }
         }
         // the round after the last one pulls the last round's neighbours and adds nothing
         assert(frontiers.map(_._1) == (1 to stats.rounds + 1))
         for ((d, f) <- frontiers) {
           val expected = (0 until g.n).filter(u => g.nbr(u).exists(v => idx.dists(v).contains(d - 1)))
-          assert(f.sorted.toSeq == expected, s"round $d")
+          assert(f == expected, s"round $d")
         }
       }
   }
@@ -88,7 +103,7 @@ class PspcSuite extends AnyFunSuite {
     val checked = mutable.ArrayBuffer.empty[Int]
     Pspc.pipeline(g, order, 1, numLandmarks = 5) { (workers, kernel) =>
       val pulls = Pspc.threadedPulls(g, order, DynamicSchedule)(workers, kernel)
-      (d, frontier, stage) => {
+      (d, scratches) => {
         if (d % 4 == 0) {
           val bytes = bytesOf(kernel)
           val copy = kernelOf(bytes)
@@ -97,24 +112,51 @@ class PspcSuite extends AnyFunSuite {
           assert(bytesOf(copy).length == bytes.length, s"round $d")
           val a = new Scratch(g.n); val b = new Scratch(g.n)
           for (u <- 0 until g.n) {
-            assert(copy.lastRoundSize(u) == kernel.lastRoundSize(u), s"round $d, vertex $u")
+            assert(copy.lastRound(u) == kernel.lastRound(u), s"round $d, vertex $u")
             kernel.pull(u, d, a); copy.pull(u, d, b)
-            assert(a.outHubs.toArray.toSeq == b.outHubs.toArray.toSeq, s"round $d, vertex $u")
-            assert(a.outCnts.toArray.toSeq == b.outCnts.toArray.toSeq, s"round $d, vertex $u")
           }
-          checked += d
+          // the copy reads a block only where it carries the stamp d-1
+          assert(blocksOf(a) == blocksOf(b), s"round $d")
+          if (blocksOf(a).nonEmpty) checked += d
         }
-        pulls(d, frontier, stage)
+        pulls(d, scratches)
       }
     }
     assert(checked.length >= 3, s"checked rounds $checked")
   }
 
+  test("a pull reads only the blocks stamped d-1") {
+    // Re-pulling round 1 after later rounds appended: the blocks stamped 0
+    // are L_0 entries, every one of them a distance-1 hub already labelled,
+    // so nothing survives. Reading the newer blocks as distance-0 entries
+    // would stage the hubs that round d is about to pull.
+    val g = GraphGen.roadGrid(20, 20, 0.12, 3)
+    val order = VertexOrder.hybridOrder(g, 4)
+    var checked = 0
+    Pspc.pipeline(g, order, 1, numLandmarks = 0) { (workers, kernel) =>
+      val pulls = Pspc.threadedPulls(g, order, DynamicSchedule)(workers, kernel)
+      (d, scratches) => {
+        if (d >= 3 && d <= 5) {
+          val s = new Scratch(g.n)
+          for (u <- 0 until g.n) kernel.pull(u, 1, s)
+          assert(blocksOf(s).isEmpty, s"round $d")
+          checked += 1
+        }
+        pulls(d, scratches)
+      }
+    }
+    assert(checked == 3)
+  }
+
   test("every staged block is strictly ascending in hub rank") {
     // pull's rank-rule bound and index's merge both depend on this order;
     // a block out of order loses candidates, so the labels differ as well
-    def assertAscending(d: Int, u: Int, h: Array[Int]): Unit =
-      assert((1 until h.length).forall(i => h(i - 1) < h(i)), s"round $d, vertex $u: ${h.toSeq}")
+    def assertAscending(d: Int, scratches: Array[Scratch]): Int = {
+      val blocks = scratches.toSeq.flatMap(blocksOf)
+      for ((u, h, _) <- blocks)
+        assert((1 until h.length).forall(i => h(i - 1) < h(i)), s"round $d, vertex $u: $h")
+      blocks.length
+    }
     val road = GraphGen.roadGrid(20, 20, 0.12, 3)
     val union = TestUtil.componentUnion
     val weighted = TestUtil.weightedPath
@@ -127,27 +169,23 @@ class PspcSuite extends AnyFunSuite {
       val hp = HpSpc.build(g, order)
       for (t <- Seq(1, 4); s <- Seq(StaticSchedule, DynamicSchedule); k <- Seq(0, 5))
         withClue(s"$name, $t threads, $s, $k landmarks: ") {
-          val staged = new java.util.concurrent.atomic.AtomicInteger
+          var staged = 0
           val (idx, _) = Pspc.pipeline(g, order, t, k) { (workers, kernel) =>
             val pulls = Pspc.threadedPulls(g, order, s)(workers, kernel)
-            (d, frontier, stage) =>
-              pulls(d, frontier, (u, h, c) => { assertAscending(d, u, h); staged.incrementAndGet(); stage(u, h, c) })
+            (d, scratches) => { pulls(d, scratches); staged += assertAscending(d, scratches) }
           }
-          assert(staged.get > 0)
+          assert(staged > 0)
           TestUtil.assertSameLabels(hp, idx)
         }
       // the Spark build pulls through a deserialised copy of the kernel
       withClue(s"$name, a deserialised kernel: ") {
-        val (idx, _) = Pspc.pipeline(g, order, 1, 5) { (_, kernel) => (d, frontier, stage) =>
+        val (idx, _) = Pspc.pipeline(g, order, 1, 5) { (_, kernel) => (d, scratches) =>
           val copy = kernelOf(bytesOf(kernel))
-          val s = new Scratch(g.n)
-          for (i <- 0 until frontier.size) {
-            val u = frontier(i)
-            copy.pull(u, d, s)
-            val h = s.outHubs.toArray
-            assertAscending(d, u, h)
-            stage(u, h, s.outCnts.toArray)
+          for (u <- 0 until g.n if kernel.flagged(u)) {
+            kernel.flagged(u) = false
+            copy.pull(u, d, scratches(0))
           }
+          assertAscending(d, scratches)
         }
         TestUtil.assertSameLabels(hp, idx)
       }
@@ -159,16 +197,19 @@ class PspcSuite extends AnyFunSuite {
     // Kernel.index must see the duplicate instead of building an index
     val g = GraphGen.path(6)
     val order = VertexOrder.degreeOrder(g)
-    var round1 = Map.empty[Int, Array[Int]]
+    var round1 = Map.empty[Int, Seq[Int]]
     var restaged = -1
     val e = intercept[IllegalArgumentException] {
       Pspc.pipeline(g, order, 1, 0) { (workers, kernel) =>
         val pulls = Pspc.threadedPulls(g, order, DynamicSchedule)(workers, kernel)
-        (d, frontier, stage) => {
-          pulls(d, frontier, (u, h, c) => { if (d == 1) round1 += u -> h; stage(u, h, c) })
+        (d, scratches) => {
+          pulls(d, scratches)
+          val blocks = scratches.toSeq.flatMap(blocksOf)
+          if (d == 1) round1 = blocks.map { case (u, h, _) => u -> h }.toMap
           if (d == 2) {
-            val u = frontier.toArray.find(round1.contains).get
-            stage(u, Array(round1(u)(0)), Array(1L))
+            // a vertex round 2 stages nothing for, so its round-2 block is the restaged hub alone
+            val u = (round1.keySet -- blocks.map(_._1)).min
+            scratches(0).stage(Array(u, 1), Array(round1(u).head), Array(1L))
             restaged = u
           }
         }
