@@ -16,7 +16,9 @@ import repro.order.VertexOrder
   * @param weights vertex weights of the graph the index was built on, or
   *                `null` when every weight is 1
   * @throws IllegalArgumentException if `order` is not a permutation of
-  *         `0 until n`, or a list holds a rank outside it, out of order or twice
+  *         `0 until n`, `dists` or `cnts` does not hold `n` lists, a
+  *         vertex's `dists` or `cnts` list is not as long as its hub list,
+  *         or a list holds a rank outside `0 until n`, out of order or twice
   */
 final class LabelIndex(
     val order: Array[Int],
@@ -32,9 +34,13 @@ final class LabelIndex(
   val weight: Array[Long] = if (weights == null || weights.forall(_ == 1L)) null else weights
 
   {
+    require(dists.length == n && cnts.length == n,
+      s"${dists.length} distance lists and ${cnts.length} count lists for $n vertices")
     var v = 0
     while (v < n) {
       val h = hubs(v)
+      require(dists(v).length == h.length && cnts(v).length == h.length,
+        s"label list of vertex $v has ${h.length} hubs, ${dists(v).length} distances and ${cnts(v).length} counts")
       var i = 0
       while (i < h.length) {
         val r = h(i)

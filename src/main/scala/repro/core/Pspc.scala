@@ -43,8 +43,8 @@ object Pspc {
 
   /** Phase timings (milliseconds) of one build: landmark labeling (LL) and
     * label construction (LC), plus the number of distance rounds. The rest
-    * of the build's wall clock is materialisation (merging each vertex's
-    * rank-sorted blocks into its final arrays on the build's pool,
+    * of the build's wall clock is materialisation (sorting each vertex's
+    * list by hub rank into its final arrays on the build's pool,
     * `Kernel.index`), the order check and closing the pool.
     */
   final case class BuildStats(llMs: Double, lcMs: Double, rounds: Int)
@@ -53,6 +53,7 @@ object Pspc {
     * rank->dist table of L(u) and candidate accumulators, both reset via
     * touch lists, and a bitmap that orders the survivors. It also stages
     * the survivors of the worker's pulls until the round's appends.
+    * Materialisation uses the same tables and bitmap to sort each list.
     */
   final class Scratch(n: Int) {
     val tmpDist: Array[Int] = Array.fill(n)(-1)
@@ -100,9 +101,9 @@ object Pspc {
     * scratch tables are indexed by them, and every round's block is sorted
     * by them, so the rank rule is a loop bound in `pull` (DESIGN.md §2).
     * The arrays' capacity doubles when a round outgrows it, so a round
-    * copies no list that has room; `index` merges each list's blocks into
-    * exact-length arrays, still of hub ranks, the layout [[LabelIndex]]
-    * stores, and serialisation writes only `[0, len(v))` and the stamps.
+    * copies no list that has room; `index` sorts each list by hub rank
+    * into exact-length arrays, the layout [[LabelIndex]] stores, and
+    * serialisation writes only `[0, len(v))` and the stamps.
     *
     * @param order     the build's total order, `order(rank) = vertex`
     * @param rank      its inverse
@@ -202,7 +203,7 @@ object Pspc {
         k += 1
       }
       val end = s.hubs.len
-      if (end - start > 1) sortRanks(s, start, lo, hi)
+      if (end - start > 1) sortRanks(s.rankBits, s.hubs.a, start, end, lo, hi)
       k = start
       while (k < end) { val w = s.hubs(k); s.cnts += s.candCnt(w); s.candCnt(w) = 0L; k += 1 }
       if (end > start) { s.staged += u; s.staged += end }
@@ -210,15 +211,15 @@ object Pspc {
       while (i < lu) { s.tmpDist(hu(i)) = -1; i += 1 }
     }
 
-    /** Sort the distinct ranks `s.hubs` from `start` on, all in `[lo, hi]`,
-      * ascending, without comparisons: set a bit per rank, then read the
-      * bits back in order, one word per 64 ranks of `[lo, hi]`.
+    /** Sort the distinct ranks `a[start, end)`, all in `[lo, hi]`,
+      * ascending in place, without comparisons: set a bit per rank in
+      * `bits` (all clear), then read the bits back in order, clearing them,
+      * one word per 64 ranks of `[lo, hi]`. The kernel's only sort: `pull`
+      * orders its survivors with it and `materialise` each list.
       */
-    private def sortRanks(s: Scratch, start: Int, lo: Int, hi: Int): Unit = {
-      val out = s.hubs.a; val end = s.hubs.len
-      val bits = s.rankBits
+    private def sortRanks(bits: Array[Long], a: Array[Int], start: Int, end: Int, lo: Int, hi: Int): Unit = {
       var k = start
-      while (k < end) { val w = out(k); bits(w >>> 6) |= 1L << w; k += 1 }
+      while (k < end) { val w = a(k); bits(w >>> 6) |= 1L << w; k += 1 }
       k = start
       var word = lo >>> 6
       val last = hi >>> 6
@@ -227,7 +228,7 @@ object Pspc {
         if (b != 0L) {
           bits(word) = 0L
           while (b != 0L) {
-            out(k) = (word << 6) | java.lang.Long.numberOfTrailingZeros(b); k += 1
+            a(k) = (word << 6) | java.lang.Long.numberOfTrailingZeros(b); k += 1
             b &= b - 1
           }
         }
@@ -240,9 +241,9 @@ object Pspc {
       * `s`. The arrays double when they run out of room. Appending round by
       * round keeps each list in ascending distance with `v` at index 0,
       * which `prevStart` and the query rule in `pull` depend on; each block
-      * is sorted by hub rank, which the rank rule's bound in `pull` and the
-      * merge in `index` depend on. Workers append disjoint vertices; their
-      * flag writes race only to write the same value.
+      * is sorted by hub rank, which only the rank rule's bound in `pull`
+      * depends on. Workers append disjoint vertices; their flag writes race
+      * only to write the same value.
       */
     private def appendStaged(s: Scratch, d: Int): Unit = {
       val sh = s.hubs.a; val sc = s.cnts.a
@@ -292,15 +293,15 @@ object Pspc {
       d - 1
     }
 
-    /** The finished labels: on `workers`, each list's rank-sorted blocks
-      * are merged into one exact-length, rank-sorted list of hub ranks. A
-      * list without spare capacity is rewritten in place. The
-      * [[LabelIndex]] constructor checks the merged lists.
+    /** The finished labels: on `workers`, each worker with its own
+      * [[Scratch]], every list is sorted by hub rank into exact-length
+      * arrays of hub ranks (`materialise`). The [[LabelIndex]] constructor
+      * checks the sorted lists.
       *
       * @throws IllegalArgumentException if a list holds a hub twice
       */
     private[Pspc] def index(workers: Workers): LabelIndex = {
-      val scratches = Array.fill(workers.count)(new MergeScratch)
+      val scratches = Array.fill(workers.count)(new Scratch(n))
       workers.dynamic(n, 256) { (t, from, until) =>
         val s = scratches(t)
         var v = from
@@ -309,60 +310,36 @@ object Pspc {
       new LabelIndex(order, hubs, dists, cnts, g.weight)
     }
 
-    /** Merge `v`'s blocks, the runs of equal distance, each sorted by hub
-      * rank, pairwise until one run is left, on keys `rank << 32 | index`,
-      * then write the list back in that order.
+    /** Sort `v`'s list by hub rank with `pull`'s tables: load each entry's
+      * distance and count at its hub rank in `s`, sort the hub ranks, then
+      * read the entries back in that order and reset the tables. A list
+      * with spare capacity moves to exact-length arrays; one without is
+      * rewritten in place.
       */
-    private def materialise(v: Int, s: MergeScratch): Unit = {
+    private def materialise(v: Int, s: Scratch): Unit = {
       val l = len(v)
-      val h = hubs(v); val dv = dists(v); val cv = cnts(v)
-      s.ensure(l)
-      val runs = s.runs
-      var nr = 0
+      val hv = hubs(v); val dv = dists(v); val cv = cnts(v)
+      var lo = Int.MaxValue; var hi = -1
       var i = 0
       while (i < l) {
-        if (i == 0 || dv(i) != dv(i - 1)) { runs(nr) = i; nr += 1 }
-        s.keys(i) = (h(i).toLong << 32) | i
+        val w = hv(i)
+        if (s.tmpDist(w) >= 0)
+          throw new IllegalArgumentException(s"label list of vertex $v holds hub ${order(w)} twice")
+        s.tmpDist(w) = dv(i); s.candCnt(w) = cv(i)
+        if (w < lo) lo = w
+        if (w > hi) hi = w
         i += 1
       }
-      runs(nr) = l
-      var src = s.keys; var dst = s.merged
-      while (nr > 1) {
-        var r = 0; var m = 0
-        while (r + 1 < nr) { merge(src, dst, runs(r), runs(r + 1), runs(r + 2)); runs(m) = runs(r); m += 1; r += 2 }
-        if (r < nr) { System.arraycopy(src, runs(r), dst, runs(r), l - runs(r)); runs(m) = runs(r); m += 1 }
-        runs(m) = l; nr = m
-        val t = src; src = dst; dst = t
+      if (hv.length > l) {
+        hubs(v) = java.util.Arrays.copyOf(hv, l); dists(v) = new Array[Int](l); cnts(v) = new Array[Long](l)
       }
-      if (h.length == l) {
-        System.arraycopy(dv, 0, s.dists, 0, l); System.arraycopy(cv, 0, s.cnts, 0, l)
-        writeBack(src, l, s.dists, s.cnts, h, dv, cv)
-      } else {
-        hubs(v) = new Array[Int](l); dists(v) = new Array[Int](l); cnts(v) = new Array[Long](l)
-        writeBack(src, l, dv, cv, hubs(v), dists(v), cnts(v))
-      }
-    }
-
-    /** Merge the sorted runs `src[a, b)` and `src[b, e)` into `dst[a, e)`. */
-    private def merge(src: Array[Long], dst: Array[Long], a: Int, b: Int, e: Int): Unit = {
-      var x = a; var y = b; var o = a
-      while (x < b && y < e) {
-        if (src(x) < src(y)) { dst(o) = src(x); x += 1 } else { dst(o) = src(y); y += 1 }
-        o += 1
-      }
-      if (x < b) System.arraycopy(src, x, dst, o, b - x)
-      else System.arraycopy(src, y, dst, o, e - y)
-    }
-
-    /** Write the merged `keys` out as hub ranks, distances and counts,
-      * reading the entries' distances and counts from `d` and `c`.
-      */
-    private def writeBack(keys: Array[Long], l: Int, d: Array[Int], c: Array[Long],
-        outH: Array[Int], outD: Array[Int], outC: Array[Long]): Unit = {
-      var i = 0
+      val h = hubs(v); val outD = dists(v); val outC = cnts(v)
+      sortRanks(s.rankBits, h, 0, l, lo, hi)
+      i = 0
       while (i < l) {
-        val p = keys(i).toInt
-        outH(i) = (keys(i) >>> 32).toInt; outD(i) = d(p); outC(i) = c(p)
+        val w = h(i)
+        outD(i) = s.tmpDist(w); outC(i) = s.candCnt(w)
+        s.tmpDist(w) = -1; s.candCnt(w) = 0L
         i += 1
       }
     }
@@ -405,26 +382,10 @@ object Pspc {
     }
   }
 
-  /** Per-worker buffers of `Kernel.index`, grown to the longest list seen:
-    * merge keys, run starts, and copies of the list being rewritten.
-    */
-  private final class MergeScratch {
-    var keys = new Array[Long](16)
-    var merged = new Array[Long](16)
-    var runs = new Array[Int](17)
-    var dists = new Array[Int](16)
-    var cnts = new Array[Long](16)
-
-    def ensure(len: Int): Unit = if (keys.length < len) {
-      keys = new Array[Long](len); merged = new Array[Long](len); runs = new Array[Int](len + 1)
-      dists = new Array[Int](len); cnts = new Array[Long](len)
-    }
-  }
-
   /** The PSPC build pipeline every builder shares. It checks `order`, opens
     * one [[Workers]] pool of `threads` that runs every phase and closes it
     * in `finally`, builds the landmark filter (the LL clock), runs the
-    * round protocol of [[Kernel]] (the LC clock) and merges the labels into
+    * round protocol of [[Kernel]] (the LC clock) and sorts the labels into
     * a [[LabelIndex]]. A builder passes only its pull phase: `pullPhase`
     * gets the pool and the kernel once and returns the function that runs
     * round `d`'s pulls over its frontier and stages their survivors.

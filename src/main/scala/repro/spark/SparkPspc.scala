@@ -12,7 +12,7 @@ import scala.collection.immutable.ArraySeq
   * it, and stages the collected survivors, one block per vertex in the
   * rank order the kernel's pull leaves them in, in the driver's one
   * scratch. Everything else, the order check, the round protocol with its
-  * appends and frontier flags, and the final merge, is the threaded
+  * appends and frontier flags, and the final sort, is the threaded
   * builder's `Pspc.pipeline`; there is no second copy of it or of the
   * pruning rules. `SparkQueries.evaluate` answers batch queries from the
   * returned index.

@@ -34,6 +34,11 @@ class LabelIndexSuite extends AnyFunSuite {
     assert(rejected(Array(1, 0)).contains("vertex 0 is not ascending in hub rank"))
     assert(rejected(Array(-1, 1)).contains("vertex 0 holds hub rank -1, outside 0 until 2"))
     assert(rejected(Array(0, 2)).contains("vertex 0 holds hub rank 2, outside 0 until 2"))
+    // the three arrays of a vertex must be equally long, else a query reads past one
+    val hubs = Array(Array(0, 1), Array(0)); val dists = Array(Array(0, 1), Array(0))
+    val cnts = Array(Array(1L, 1L), Array(1L))
+    assert(intercept[IllegalArgumentException](new LabelIndex(order, hubs, dists.map(_.take(0)), cnts))
+      .getMessage.contains("label list of vertex 0 has 2 hubs, 0 distances and 2 counts"))
   }
 
   test("query reproduces the paper's Example 1: SPC(v10, v7) = 4 at distance 3") {

@@ -149,8 +149,8 @@ class PspcSuite extends AnyFunSuite {
   }
 
   test("every staged block is strictly ascending in hub rank") {
-    // pull's rank-rule bound and index's merge both depend on this order;
-    // a block out of order loses candidates, so the labels differ as well
+    // pull's rank-rule bound depends on this order; a block out of order
+    // loses candidates, so the labels differ as well
     def assertAscending(d: Int, scratches: Array[Scratch]): Int = {
       val blocks = scratches.toSeq.flatMap(blocksOf)
       for ((u, h, _) <- blocks)
@@ -193,8 +193,9 @@ class PspcSuite extends AnyFunSuite {
   }
 
   test("materialisation fails on a hub staged twice for one vertex") {
-    // round 2 re-stages a hub that round 1 gave vertex u: the merge in
-    // Kernel.index must see the duplicate instead of building an index
+    // round 2 re-stages a hub that round 1 gave vertex u: the sort in
+    // Kernel.index must see the duplicate and name it instead of building
+    // an index
     val g = GraphGen.path(6)
     val order = VertexOrder.degreeOrder(g)
     var round1 = Map.empty[Int, Seq[Int]]
@@ -216,7 +217,7 @@ class PspcSuite extends AnyFunSuite {
       }
     }
     assert(restaged >= 0)
-    assert(e.getMessage.contains(s"label list of vertex $restaged holds hub"), e.getMessage)
+    assert(e.getMessage == s"label list of vertex $restaged holds hub ${order(round1(restaged).head)} twice")
   }
 
   for ((name, g) <- TestUtil.smallGraphs) {
